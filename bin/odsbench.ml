@@ -412,743 +412,97 @@ let failover_cmd =
     (Cmd.info "failover" ~doc:"E7: process-pair takeover under load")
     Term.(const failover $ records_arg 400)
 
-(* --- drill: fault schedule + durability audit --- *)
+(* --- drill: scenario → report → verdict --- *)
 
-(* Every drill report names its seed and plan at top level so a CI
-   artifact is self-describing without knowing which command wrote it. *)
-let drill_json ~plan (r : Tp.Drill.report) =
-  let a = r.Tp.Drill.availability in
-  Json.Obj
-    [
-      ("mode", Json.String (mode_to_string r.Tp.Drill.mode));
-      ("plan", Json.String plan);
-      ("seed", Json.String (Printf.sprintf "0x%Lx" r.Tp.Drill.seed));
-      ("elapsed_s", Json.Float (Time.to_sec r.Tp.Drill.elapsed));
-      ( "faults",
-        Json.List
-          (List.map
-             (fun (t, desc) ->
-               Json.Obj [ ("at_ms", Json.Float (Time.to_ms t)); ("fault", Json.String desc) ])
-             r.Tp.Drill.faults) );
-      ("attempted_txns", Json.Int r.Tp.Drill.attempted_txns);
-      ("committed", Json.Int r.Tp.Drill.committed);
-      ("failed_txns", Json.Int r.Tp.Drill.failed_txns);
-      ("acked_rows", Json.Int r.Tp.Drill.acked_rows);
-      ("recovered_rows", Json.Int r.Tp.Drill.recovered_rows);
-      ("lost_rows", Json.Int r.Tp.Drill.lost_rows);
-      ("in_doubt_after", Json.Int r.Tp.Drill.in_doubt_after);
-      ("orphaned_locks", Json.Int r.Tp.Drill.orphaned_locks);
-      ("fence_checks", Json.Int r.Tp.Drill.fence_checks);
-      ("fence_failures", Json.Int r.Tp.Drill.fence_failures);
-      ("zero_loss", Json.Bool (Tp.Drill.zero_loss r));
-      ("oracle", Tp.Drill.Oracle.to_json (Tp.Drill.Oracle.of_report r));
-      ( "integrity",
-        match r.Tp.Drill.integrity with
-        | None -> Json.Null
-        | Some i ->
-            Json.Obj
-              [
-                ("decay_injected", Json.Int i.Tp.Drill.decay_injected);
-                ("torn_injected", Json.Int i.Tp.Drill.torn_injected);
-                ("scrub_chunks", Json.Int i.Tp.Drill.scrub_chunks);
-                ("scrub_repairs", Json.Int i.Tp.Drill.scrub_repairs);
-                ("scrub_quarantined", Json.Int i.Tp.Drill.scrub_quarantined);
-                ("read_repairs", Json.Int i.Tp.Drill.read_repairs);
-                ("verify_unrepaired", Json.Int i.Tp.Drill.verify_unrepaired);
-                ("unrepaired_divergence", Json.Int i.Tp.Drill.unrepaired_divergence);
-                ("clean", Json.Bool (Tp.Drill.integrity_clean r));
-              ] );
-      ( "response_ms",
-        Json.Obj
-          [
-            ("mean", Json.Float (r.Tp.Drill.response.Stat.mean /. 1e6));
-            ("p50", Json.Float (r.Tp.Drill.response.Stat.p50 /. 1e6));
-            ("p99", Json.Float (r.Tp.Drill.response.Stat.p99 /. 1e6));
-          ] );
-      ( "availability",
-        Json.Obj
-          [
-            ( "takeovers",
-              Json.Obj
-                [
-                  ("adp", Json.Int a.Tp.Drill.adp_takeovers);
-                  ("dp2", Json.Int a.Tp.Drill.dp2_takeovers);
-                  ("tmf", Json.Int a.Tp.Drill.tmf_takeovers);
-                  ("pmm", Json.Int a.Tp.Drill.pmm_takeovers);
-                ] );
-            ("outage_ms", Json.Float (Time.to_ms a.Tp.Drill.outage));
-            ("degraded_writes", Json.Int a.Tp.Drill.degraded_writes);
-            ("pm_write_retries", Json.Int a.Tp.Drill.pm_write_retries);
-            ("packet_retries", Json.Int a.Tp.Drill.packet_retries);
-          ] );
-      ( "recovery",
-        Json.Obj
-          [
-            ("mttr_ms", Json.Float (Time.to_ms r.Tp.Drill.recovery.Tp.Recovery.mttr));
-            ( "outcome_source",
-              Json.String
-                (match r.Tp.Drill.recovery.Tp.Recovery.outcome_source with
-                | Tp.Recovery.Mat_scan -> "mat_scan"
-                | Tp.Recovery.Pm_txn_table -> "pm_txn_table") );
-            ("committed_txns", Json.Int r.Tp.Drill.recovery.Tp.Recovery.committed_txns);
-            ("in_doubt_txns", Json.Int r.Tp.Drill.recovery.Tp.Recovery.in_doubt_txns);
-            ("resolved_commit", Json.Int r.Tp.Drill.recovery.Tp.Recovery.resolved_commit);
-            ("resolved_abort", Json.Int r.Tp.Drill.recovery.Tp.Recovery.resolved_abort);
-            ("rows_rebuilt", Json.Int r.Tp.Drill.recovery.Tp.Recovery.rows_rebuilt);
-          ] );
-      ( "timeline",
-        match r.Tp.Drill.timeline with
-        | Some ts ->
-            Json.Obj
-              [
-                ("samples", Json.Int (Timeseries.sample_count ts));
-                ("evicted", Json.Int (Timeseries.evicted ts));
-                ("series", Timeseries.json ts);
-                ("bottlenecks", Timeseries.attribution_json ts);
-              ]
-        | None -> Json.Null );
-    ]
-
-(* Event-aligned availability overlay: the sampled commit/failure gauges
-   interleaved, in time order, with the fault injections as marks. *)
-let drill_overlay (ts : Timeseries.t) =
-  Printf.printf "availability overlay (sampled every %s, %d samples, %d evicted):\n"
-    (Time.to_string (Timeseries.interval ts))
-    (Timeseries.sample_count ts) (Timeseries.evicted ts);
-  Printf.printf "%12s %10s %8s\n" "t(ms)" "committed" "failed";
-  let value s key =
-    match List.assoc_opt key s.Timeseries.s_values with Some v -> v | None -> 0.0
-  in
-  let rec go samples marks =
-    match (samples, marks) with
-    | [], [] -> ()
-    | _, (mt, label) :: ms
-      when (match samples with
-           | [] -> true
-           | s :: _ -> mt <= s.Timeseries.s_time) ->
-        Printf.printf "%12.1f  >> fault: %s\n" (Time.to_ms mt) label;
-        go samples ms
-    | s :: ss, _ ->
-        Printf.printf "%12.1f %10.0f %8.0f\n"
-          (Time.to_ms s.Timeseries.s_time)
-          (value s "drill.committed") (value s "drill.failed");
-        go ss marks
-    | [], _ :: _ -> ()
-  in
-  go (Timeseries.samples ts) (Timeseries.marks ts)
-
-let drill_text (r : Tp.Drill.report) =
-  let a = r.Tp.Drill.availability in
-  Printf.printf "drill: mode=%s seed=0x%Lx — hot-stock load under a fault schedule\n"
-    (mode_to_string r.Tp.Drill.mode) r.Tp.Drill.seed;
-  hr ();
-  List.iter
-    (fun (t, desc) -> Printf.printf "%10.1f ms  %s\n" (Time.to_ms t) desc)
-    r.Tp.Drill.faults;
-  hr ();
-  Printf.printf "load elapsed       %.3f s\n" (Time.to_sec r.Tp.Drill.elapsed);
-  Printf.printf "transactions       %d attempted, %d acked, %d failed\n"
-    r.Tp.Drill.attempted_txns r.Tp.Drill.committed r.Tp.Drill.failed_txns;
-  Printf.printf "response mean/p99  %.2f / %.2f ms\n"
-    (r.Tp.Drill.response.Stat.mean /. 1e6)
-    (r.Tp.Drill.response.Stat.p99 /. 1e6);
-  Printf.printf "takeovers          adp=%d dp2=%d tmf=%d pmm=%d (outage %s)\n"
-    a.Tp.Drill.adp_takeovers a.Tp.Drill.dp2_takeovers a.Tp.Drill.tmf_takeovers
-    a.Tp.Drill.pmm_takeovers
-    (Time.to_string a.Tp.Drill.outage);
-  Printf.printf "degraded PM writes %d (retried %d, packet retries %d)\n"
-    a.Tp.Drill.degraded_writes a.Tp.Drill.pm_write_retries a.Tp.Drill.packet_retries;
-  Printf.printf "recovery           MTTR %s, %d committed txns, %d rows\n"
-    (Time.to_string r.Tp.Drill.recovery.Tp.Recovery.mttr)
-    r.Tp.Drill.recovery.Tp.Recovery.committed_txns
-    r.Tp.Drill.recovery.Tp.Recovery.rows_rebuilt;
-  Printf.printf "durability         %d acked rows, %d recovered, %d LOST — %s\n"
-    r.Tp.Drill.acked_rows r.Tp.Drill.recovered_rows r.Tp.Drill.lost_rows
-    (if Tp.Drill.zero_loss r then "zero loss" else "DATA LOSS");
-  (match r.Tp.Drill.integrity with
-  | None -> ()
-  | Some i ->
-      Printf.printf "corruption         %d decay, %d torn injected\n"
-        i.Tp.Drill.decay_injected i.Tp.Drill.torn_injected;
-      Printf.printf "scrubber           %d chunks scanned, %d repaired, %d quarantined\n"
-        i.Tp.Drill.scrub_chunks i.Tp.Drill.scrub_repairs i.Tp.Drill.scrub_quarantined;
-      Printf.printf "verified reads     %d repaired, %d unrepaired\n"
-        i.Tp.Drill.read_repairs i.Tp.Drill.verify_unrepaired;
-      Printf.printf "integrity audit    %d divergent chunks left — %s\n"
-        i.Tp.Drill.unrepaired_divergence
-        (if i.Tp.Drill.unrepaired_divergence = 0 then "clean" else "SILENT CORRUPTION"));
-  hr ();
-  match r.Tp.Drill.timeline with
-  | Some ts ->
-      drill_overlay ts;
-      hr ();
-      Printf.printf "bottleneck attribution (load phase):\n";
-      Format.printf "%a@?" Timeseries.pp_attribution ts;
-      hr ()
-  | None -> ()
-
-let cluster_drill_json ~plan (r : Tp.Drill.cluster_report) =
-  Json.Obj
-    [
-      ("mode", Json.String "cluster");
-      ("plan", Json.String plan);
-      ("seed", Json.String (Printf.sprintf "0x%Lx" r.Tp.Drill.c_seed));
-      ("nodes", Json.Int r.Tp.Drill.c_nodes);
-      ("elapsed_s", Json.Float (Time.to_sec r.Tp.Drill.c_elapsed));
-      ( "faults",
-        Json.List
-          (List.map
-             (fun (t, desc) ->
-               Json.Obj [ ("at_ms", Json.Float (Time.to_ms t)); ("fault", Json.String desc) ])
-             r.Tp.Drill.c_faults) );
-      ("attempted_txns", Json.Int r.Tp.Drill.c_attempted);
-      ("committed", Json.Int r.Tp.Drill.c_committed);
-      ("failed_txns", Json.Int r.Tp.Drill.c_failed);
-      ("acked_rows", Json.Int r.Tp.Drill.c_acked_rows);
-      ("lost_rows", Json.Int r.Tp.Drill.c_lost_rows);
-      ("in_doubt_before", Json.Int r.Tp.Drill.c_in_doubt_before);
-      ("resolved_commit", Json.Int r.Tp.Drill.c_resolved_commit);
-      ("resolved_abort", Json.Int r.Tp.Drill.c_resolved_abort);
-      ("in_doubt_after", Json.Int r.Tp.Drill.c_in_doubt_after);
-      ("orphaned_locks", Json.Int r.Tp.Drill.c_orphaned_locks);
-      ("fence_checks", Json.Int r.Tp.Drill.c_fence_checks);
-      ("fence_failures", Json.Int r.Tp.Drill.c_fence_failures);
-      ("fenced_writes", Json.Int r.Tp.Drill.c_fenced_writes);
-      ("zero_loss", Json.Bool (Tp.Drill.cluster_zero_loss r));
-      ("oracle", Tp.Drill.Oracle.to_json (Tp.Drill.Oracle.of_cluster r));
-      ( "response_ms",
-        Json.Obj
-          [
-            ("mean", Json.Float (r.Tp.Drill.c_response.Stat.mean /. 1e6));
-            ("p50", Json.Float (r.Tp.Drill.c_response.Stat.p50 /. 1e6));
-            ("p99", Json.Float (r.Tp.Drill.c_response.Stat.p99 /. 1e6));
-          ] );
-      ( "recoveries",
-        Json.List
-          (List.map
-             (fun (rr : Tp.Recovery.report) ->
-               Json.Obj
-                 [
-                   ("mttr_ms", Json.Float (Time.to_ms rr.Tp.Recovery.mttr));
-                   ("committed_txns", Json.Int rr.Tp.Recovery.committed_txns);
-                   ("in_doubt_txns", Json.Int rr.Tp.Recovery.in_doubt_txns);
-                   ("resolved_commit", Json.Int rr.Tp.Recovery.resolved_commit);
-                   ("resolved_abort", Json.Int rr.Tp.Recovery.resolved_abort);
-                   ("rows_rebuilt", Json.Int rr.Tp.Recovery.rows_rebuilt);
-                 ])
-             r.Tp.Drill.c_recoveries) );
-    ]
-
-let cluster_drill_text (r : Tp.Drill.cluster_report) =
-  Printf.printf
-    "drill: mode=cluster nodes=%d seed=0x%Lx — distributed hot-stock load under a WAN \
-     partition\n"
-    r.Tp.Drill.c_nodes r.Tp.Drill.c_seed;
-  hr ();
-  List.iter
-    (fun (t, desc) -> Printf.printf "%10.1f ms  %s\n" (Time.to_ms t) desc)
-    r.Tp.Drill.c_faults;
-  hr ();
-  Printf.printf "load elapsed       %.3f s\n" (Time.to_sec r.Tp.Drill.c_elapsed);
-  Printf.printf "transactions       %d attempted, %d acked, %d failed\n"
-    r.Tp.Drill.c_attempted r.Tp.Drill.c_committed r.Tp.Drill.c_failed;
-  Printf.printf "response mean/p99  %.2f / %.2f ms\n"
-    (r.Tp.Drill.c_response.Stat.mean /. 1e6)
-    (r.Tp.Drill.c_response.Stat.p99 /. 1e6);
-  Printf.printf "in-doubt window    %d entering recovery, %d resolved commit, %d resolved \
-                 abort, %d left\n"
-    r.Tp.Drill.c_in_doubt_before r.Tp.Drill.c_resolved_commit r.Tp.Drill.c_resolved_abort
-    r.Tp.Drill.c_in_doubt_after;
-  Printf.printf "epoch fence        %d checks, %d failures, %d stale writes rejected\n"
-    r.Tp.Drill.c_fence_checks r.Tp.Drill.c_fence_failures r.Tp.Drill.c_fenced_writes;
-  Printf.printf "orphaned locks     %d\n" r.Tp.Drill.c_orphaned_locks;
-  List.iteri
-    (fun i (rr : Tp.Recovery.report) ->
-      Printf.printf "recovery node %d    MTTR %s, %d committed txns, %d rows\n" i
-        (Time.to_string rr.Tp.Recovery.mttr)
-        rr.Tp.Recovery.committed_txns rr.Tp.Recovery.rows_rebuilt)
-    r.Tp.Drill.c_recoveries;
-  Printf.printf "durability         %d acked rows, %d LOST — %s\n" r.Tp.Drill.c_acked_rows
-    r.Tp.Drill.c_lost_rows
-    (if Tp.Drill.cluster_zero_loss r then "zero loss" else "INVARIANT VIOLATED");
-  hr ()
-
-let gray_drill_json (g : Tp.Drill.gray_report) =
-  Json.Obj
-    [
-      ("mode", Json.String "pm");
-      ("plan", Json.String "grayfail");
-      ("seed", Json.String (Printf.sprintf "0x%Lx" g.Tp.Drill.g_seed));
-      ("defended", Json.Bool g.Tp.Drill.g_defended);
-      ( "latency_ms",
-        Json.Obj
-          [
-            ("healthy_p99", Json.Float (g.Tp.Drill.g_healthy.Tp.Drill.response.Stat.p99 /. 1e6));
-            ( "degraded_p99",
-              Json.Float (g.Tp.Drill.g_degraded.Tp.Drill.response.Stat.p99 /. 1e6) );
-            ("p99_ratio", Json.Float g.Tp.Drill.g_p99_ratio);
-            ("p99_limit", Json.Float g.Tp.Drill.g_p99_limit);
-          ] );
-      ( "mitigation",
-        Json.Obj
-          [
-            ("demotions", Json.Int g.Tp.Drill.g_demotions);
-            ("readmissions", Json.Int g.Tp.Drill.g_readmissions);
-            ("mirror_active", Json.Bool g.Tp.Drill.g_mirror_active);
-            ("monitor_probes", Json.Int g.Tp.Drill.g_monitor_probes);
-            ("slow_suspects", Json.Int g.Tp.Drill.g_slow_suspects);
-            ("hedged_reads", Json.Int g.Tp.Drill.g_hedged_reads);
-            ("hedge_wins", Json.Int g.Tp.Drill.g_hedge_wins);
-            ("single_copy_writes", Json.Int g.Tp.Drill.g_single_copy_writes);
-          ] );
-      ("zero_loss", Json.Bool (Tp.Drill.zero_loss g.Tp.Drill.g_degraded));
-      ("pass", Json.Bool (Tp.Drill.gray_pass g));
-      ("oracle", Tp.Drill.Oracle.to_json (Tp.Drill.Oracle.of_gray g));
-      ("healthy", drill_json ~plan:"grayfail" g.Tp.Drill.g_healthy);
-      ("degraded", drill_json ~plan:"grayfail" g.Tp.Drill.g_degraded);
-    ]
-
-let gray_drill_text (g : Tp.Drill.gray_report) =
-  Printf.printf
-    "drill: mode=pm plan=grayfail seed=0x%Lx defenses=%s — fail-slow hardware under \
-     hot-stock load\n"
-    g.Tp.Drill.g_seed
-    (if g.Tp.Drill.g_defended then "on" else "OFF (negative control)");
-  hr ();
-  List.iter
-    (fun (t, desc) -> Printf.printf "%10.1f ms  %s\n" (Time.to_ms t) desc)
-    g.Tp.Drill.g_degraded.Tp.Drill.faults;
-  hr ();
-  let h = g.Tp.Drill.g_healthy and d = g.Tp.Drill.g_degraded in
-  Printf.printf "healthy baseline   %d commits, mean/p99 %.2f / %.2f ms\n"
-    h.Tp.Drill.committed
-    (h.Tp.Drill.response.Stat.mean /. 1e6)
-    (h.Tp.Drill.response.Stat.p99 /. 1e6);
-  Printf.printf "degraded run       %d commits, mean/p99 %.2f / %.2f ms\n"
-    d.Tp.Drill.committed
-    (d.Tp.Drill.response.Stat.mean /. 1e6)
-    (d.Tp.Drill.response.Stat.p99 /. 1e6);
-  Printf.printf "p99 ratio          %.2fx (gate: <= %.1fx) — %s\n" g.Tp.Drill.g_p99_ratio
-    g.Tp.Drill.g_p99_limit
-    (if g.Tp.Drill.g_p99_ratio <= g.Tp.Drill.g_p99_limit then "bounded"
-     else "LATENCY COLLAPSE");
-  Printf.printf "mirror health      %d probes, %d demotions, %d readmissions, mirror %s\n"
-    g.Tp.Drill.g_monitor_probes g.Tp.Drill.g_demotions g.Tp.Drill.g_readmissions
-    (if g.Tp.Drill.g_mirror_active then "active" else "DEMOTED");
-  Printf.printf "client defenses    %d slow suspects, %d hedged reads (%d won), %d \
-                 single-copy writes\n"
-    g.Tp.Drill.g_slow_suspects g.Tp.Drill.g_hedged_reads g.Tp.Drill.g_hedge_wins
-    g.Tp.Drill.g_single_copy_writes;
-  Printf.printf "durability         %d acked rows, %d LOST — %s\n" d.Tp.Drill.acked_rows
-    d.Tp.Drill.lost_rows
-    (if Tp.Drill.zero_loss d then "zero loss" else "DATA LOSS");
-  Printf.printf "verdict            %s\n"
-    (if Tp.Drill.gray_pass g then "PASS" else "FAIL");
-  hr ()
-
-let overload_drill_json (r : Tp.Drill.overload_report) =
-  Json.Obj
-    [
-      ("mode", Json.String "pm");
-      ("plan", Json.String "overload");
-      ("seed", Json.String (Printf.sprintf "0x%Lx" r.Tp.Drill.v_seed));
-      ("defended", Json.Bool r.Tp.Drill.v_defended);
-      ("arrivals", Json.Int r.Tp.Drill.v_arrivals);
-      ("committed", Json.Int r.Tp.Drill.v_committed);
-      ("rejected", Json.Int r.Tp.Drill.v_rejected);
-      ("failed", Json.Int r.Tp.Drill.v_failed);
-      ("client_timeouts", Json.Int r.Tp.Drill.v_timeouts);
-      ( "admission",
-        Json.Obj
-          [
-            ("admitted", Json.Int r.Tp.Drill.v_admitted);
-            ("rejected", Json.Int r.Tp.Drill.v_tmf_rejected);
-            ("expired", Json.Int r.Tp.Drill.v_tmf_expired);
-            ("adp_shed_expired", Json.Int r.Tp.Drill.v_adp_shed);
-          ] );
-      ( "containment",
-        Json.Obj
-          [
-            ("retry_denied", Json.Int r.Tp.Drill.v_retry_denied);
-            ("breaker_trips", Json.Int r.Tp.Drill.v_breaker_trips);
-          ] );
-      ( "goodput_tps",
-        Json.Obj
-          [
-            ("warmup", Json.Float r.Tp.Drill.v_warmup_goodput);
-            ("spike", Json.Float r.Tp.Drill.v_spike_goodput);
-            ("cooldown", Json.Float r.Tp.Drill.v_cooldown_goodput);
-            ("spike_floor", Json.Float r.Tp.Drill.v_spike_floor);
-            ("recovery_frac", Json.Float r.Tp.Drill.v_recovery_frac);
-          ] );
-      ( "recovery_ms",
-        match r.Tp.Drill.v_recovery_time with
-        | Some t -> Json.Float (Time.to_ms t)
-        | None -> Json.Null );
-      ("recovery_limit_ms", Json.Float (Time.to_ms r.Tp.Drill.v_recovery_limit));
-      ( "goodput_windows",
-        Json.List
-          (List.map
-             (fun (t, d) ->
-               Json.Obj [ ("t_ms", Json.Float (Time.to_ms t)); ("committed", Json.Int d) ])
-             r.Tp.Drill.v_goodput) );
-      ("acked_rows", Json.Int r.Tp.Drill.v_acked_rows);
-      ("lost_rows", Json.Int r.Tp.Drill.v_lost_rows);
-      ("zero_loss", Json.Bool (r.Tp.Drill.v_lost_rows = 0));
-      ("elapsed_s", Json.Float (Time.to_sec r.Tp.Drill.v_elapsed));
-      ( "response_ms",
-        Json.Obj
-          [
-            ("mean", Json.Float (r.Tp.Drill.v_response.Stat.mean /. 1e6));
-            ("p50", Json.Float (r.Tp.Drill.v_response.Stat.p50 /. 1e6));
-            ("p99", Json.Float (r.Tp.Drill.v_response.Stat.p99 /. 1e6));
-          ] );
-      ( "faults",
-        Json.List
-          (List.map
-             (fun (t, desc) ->
-               Json.Obj [ ("at_ms", Json.Float (Time.to_ms t)); ("fault", Json.String desc) ])
-             r.Tp.Drill.v_faults) );
-      ( "recovery",
-        Json.Obj
-          [
-            ("mttr_ms", Json.Float (Time.to_ms r.Tp.Drill.v_recovery.Tp.Recovery.mttr));
-            ("committed_txns", Json.Int r.Tp.Drill.v_recovery.Tp.Recovery.committed_txns);
-            ("rows_rebuilt", Json.Int r.Tp.Drill.v_recovery.Tp.Recovery.rows_rebuilt);
-          ] );
-      ("pass", Json.Bool (Tp.Drill.overload_pass r));
-      ("oracle", Tp.Drill.Oracle.to_json (Tp.Drill.Oracle.of_overload r));
-      ( "timeline",
-        match r.Tp.Drill.v_timeline with
-        | Some ts ->
-            Json.Obj
-              [
-                ("samples", Json.Int (Timeseries.sample_count ts));
-                ("evicted", Json.Int (Timeseries.evicted ts));
-                ("series", Timeseries.json ts);
-              ]
-        | None -> Json.Null );
-    ]
-
-let overload_drill_text (r : Tp.Drill.overload_report) =
-  Printf.printf
-    "drill: mode=pm plan=overload seed=0x%Lx defenses=%s — open-loop flash crowd \
-     against impatient clients\n"
-    r.Tp.Drill.v_seed
-    (if r.Tp.Drill.v_defended then "on" else "OFF (negative control)");
-  hr ();
-  List.iter
-    (fun (t, desc) -> Printf.printf "%10.1f ms  %s\n" (Time.to_ms t) desc)
-    r.Tp.Drill.v_faults;
-  hr ();
-  Printf.printf "offered load       %d arrivals over %.3f s\n" r.Tp.Drill.v_arrivals
-    (Time.to_sec r.Tp.Drill.v_elapsed);
-  Printf.printf "outcomes           %d committed, %d rejected (backpressure), %d failed\n"
-    r.Tp.Drill.v_committed r.Tp.Drill.v_rejected r.Tp.Drill.v_failed;
-  Printf.printf "client impatience  %d call timeouts\n" r.Tp.Drill.v_timeouts;
-  Printf.printf "admission          %d admitted, %d rejected at begin, %d expired at \
-                 commit, %d flush waits shed\n"
-    r.Tp.Drill.v_admitted r.Tp.Drill.v_tmf_rejected r.Tp.Drill.v_tmf_expired
-    r.Tp.Drill.v_adp_shed;
-  Printf.printf "containment        %d resends denied by budget, %d breaker trips\n"
-    r.Tp.Drill.v_retry_denied r.Tp.Drill.v_breaker_trips;
-  Printf.printf "response mean/p99  %.2f / %.2f ms\n"
-    (r.Tp.Drill.v_response.Stat.mean /. 1e6)
-    (r.Tp.Drill.v_response.Stat.p99 /. 1e6);
-  Printf.printf "goodput            warmup %.1f tps, spike %.1f tps (floor %.1f), \
-                 cooldown %.1f tps\n"
-    r.Tp.Drill.v_warmup_goodput r.Tp.Drill.v_spike_goodput
-    (r.Tp.Drill.v_spike_floor *. r.Tp.Drill.v_warmup_goodput)
-    r.Tp.Drill.v_cooldown_goodput;
-  Printf.printf "recovery           %s (limit %s after spike end)\n"
-    (match r.Tp.Drill.v_recovery_time with
-    | Some t -> Time.to_string t
-    | None -> "NEVER — stayed collapsed under base load (metastable)")
-    (Time.to_string r.Tp.Drill.v_recovery_limit);
-  Printf.printf "goodput over time (%d windows):\n" (List.length r.Tp.Drill.v_goodput);
-  Printf.printf "%12s %10s\n" "t(ms)" "committed";
-  List.iter
-    (fun (t, d) -> Printf.printf "%12.1f %10d\n" (Time.to_ms t) d)
-    r.Tp.Drill.v_goodput;
-  Printf.printf "durability         %d acked rows, %d LOST — %s\n" r.Tp.Drill.v_acked_rows
-    r.Tp.Drill.v_lost_rows
-    (if r.Tp.Drill.v_lost_rows = 0 then "rejected is not lost" else "DATA LOSS");
-  Printf.printf "verdict            %s\n"
-    (if Tp.Drill.overload_pass r then "PASS" else "FAIL");
-  hr ()
-
-let drill_fail json e =
-  if json then print_endline (Json.to_string (Json.Obj [ ("error", Json.String e) ]));
+let drill_usage e =
   prerr_endline ("odsbench drill: " ^ e);
-  exit 1
+  exit 2
 
-let cluster_drill plan_name drivers seed interval_ms flight json =
-  if interval_ms > 0 then begin
-    prerr_endline "odsbench drill: --interval-ms is not supported in cluster mode";
-    exit 2
-  end;
-  let plan =
-    match plan_name with
-    | "partition" | "standard" -> Tp.Drill.partition_plan
-    | "none" -> []
-    | other ->
-        Printf.eprintf "odsbench drill: unknown cluster plan '%s' (%s)\n" other
-          (String.concat "|" Tp.Drill.cluster_plan_names);
-        exit 2
-  in
-  let params = { Tp.Drill.cluster_params with Tp.Drill.drivers } in
-  let plan_label = match plan_name with "standard" -> "partition" | other -> other in
-  match Tp.Drill.run_cluster ~seed:(Int64.of_int seed) ~params ?flight ~plan () with
-  | Error e -> drill_fail json e
-  | Ok r ->
-      if json then print_endline (Json.to_string (cluster_drill_json ~plan:plan_label r))
-      else cluster_drill_text r;
-      if not (Tp.Drill.cluster_zero_loss r) then begin
-        Printf.eprintf
-          "odsbench drill: invariant violated (lost=%d in-doubt=%d orphaned-locks=%d \
-           fence-failures=%d)\n"
-          r.Tp.Drill.c_lost_rows r.Tp.Drill.c_in_doubt_after r.Tp.Drill.c_orphaned_locks
-          r.Tp.Drill.c_fence_failures;
-        exit 1
-      end
-
-(* --plan-file: replay a schedule from disk.  A full repro document
-   (schema "odsbench-repro", as written by the explorer) pins the
-   platform, seed and defenses, so the replay is bit-for-bit; a bare
-   JSON array is just a fault plan, run under --mode with the
-   command-line seed and sizing. *)
-let drill_plan_file path mode_str drivers boxcar records seed flight json =
+(* --plan-file: a full repro document (schema "odsbench-repro", as
+   written by the explorer) pins the platform, seed and defenses, so the
+   replay is bit-for-bit; a bare JSON array is just a fault plan, run on
+   --mode's faultless scenario with the command-line seed and sizing. *)
+let scenario_of_file path platform =
   let doc =
     match Json.parse (read_whole_file path) with
     | Ok d -> d
-    | Error e ->
-        Printf.eprintf "odsbench drill: %s: %s\n" path e;
-        exit 2
+    | Error e -> drill_usage (path ^ ": " ^ e)
   in
   match doc with
   | Json.List _ -> (
       match Tp.Faultplan.of_json doc with
-      | Error e ->
-          Printf.eprintf "odsbench drill: %s: %s\n" path e;
-          exit 2
-      | Ok plan -> (
-          if mode_str <> "disk" && mode_str <> "pm" then begin
-            prerr_endline
-              "odsbench drill: a bare plan array needs --mode disk or pm (wrap cluster \
-               or overload schedules in a repro document)";
-            exit 2
-          end;
-          let mode = parse_mode mode_str in
-          let params =
-            {
-              Tp.Drill.default_params with
-              Tp.Drill.drivers;
-              records_per_driver = records;
-              inserts_per_txn = boxcar;
-            }
-          in
-          match
-            Tp.Drill.run ~seed:(Int64.of_int seed) ~params ?flight ~mode ~plan ()
-          with
-          | Error e -> drill_fail json e
-          | Ok r ->
-              if json then print_endline (Json.to_string (drill_json ~plan:path r))
-              else drill_text r;
-              if not (Tp.Drill.zero_loss r) then begin
-                Printf.eprintf
-                  "odsbench drill: %d acknowledged rows lost after recovery\n"
-                  r.Tp.Drill.lost_rows;
-                exit 1
-              end))
+      | Error e -> drill_usage (path ^ ": " ^ e)
+      | Ok plan ->
+          `Sized
+            { (Result.get_ok (Tp.Drill.scenario platform "none")) with Tp.Drill.name = path; plan })
   | _ -> (
       match Tp.Explorer.repro_of_json doc with
-      | Error e ->
-          Printf.eprintf "odsbench drill: %s: %s\n" path e;
-          exit 2
-      | Ok repro -> (
-          match Tp.Explorer.replay ?flight repro with
-          | Error e -> drill_fail json e
-          | Ok result ->
-              let verdict = Tp.Explorer.replay_verdict result in
-              (match result with
-              | Tp.Explorer.Single r ->
-                  if json then print_endline (Json.to_string (drill_json ~plan:path r))
-                  else drill_text r
-              | Tp.Explorer.Clustered r ->
-                  if json then
-                    print_endline (Json.to_string (cluster_drill_json ~plan:path r))
-                  else cluster_drill_text r
-              | Tp.Explorer.Overloaded r ->
-                  if json then print_endline (Json.to_string (overload_drill_json r))
-                  else overload_drill_text r);
-              if not (Tp.Drill.Oracle.pass verdict) then begin
-                Printf.eprintf "odsbench drill: oracle violated — %s\n"
-                  (Tp.Drill.Oracle.summary verdict);
-                exit 1
-              end))
+      | Error e -> drill_usage (path ^ ": " ^ e)
+      | Ok repro -> `Pinned (Tp.Explorer.scenario_of_repro repro))
 
-let drill mode plan_name plan_file drivers boxcar records seed interval_ms flight
-    list_plans no_defenses json =
-  if list_plans then
-    let names =
-      match mode with
-      | "cluster" -> Tp.Drill.cluster_plan_names
-      | "disk" -> Tp.Drill.plan_names Tp.System.Disk_audit
-      | _ -> Tp.Drill.plan_names Tp.System.Pm_audit
-    in
-    List.iter print_endline names
+let drill mode plan_name plan_file drivers boxcar records seed interval_ms flight list_plans
+    no_defenses json =
+  let platform =
+    match mode with
+    | "cluster" -> Tp.Drill.Cluster
+    | "disk" -> Tp.Drill.Node Tp.System.Disk_audit
+    | _ -> Tp.Drill.Node Tp.System.Pm_audit
+  in
+  if list_plans then List.iter print_endline (Tp.Drill.plan_names platform)
   else
-    match plan_file with
-    | Some path -> drill_plan_file path mode drivers boxcar records seed flight json
-    | None ->
-  if mode = "cluster" then
-    cluster_drill plan_name drivers seed interval_ms flight json
-  else begin
-    let mode = if mode = "disk" then Tp.System.Disk_audit else Tp.System.Pm_audit in
-    if
-      no_defenses && plan_name <> "corruption" && plan_name <> "grayfail"
-      && plan_name <> "overload"
-    then begin
-      prerr_endline
-        "odsbench drill: --no-defenses only applies to --plan corruption, grayfail or \
-         overload";
-      exit 2
-    end;
-    let params =
-      {
-        Tp.Drill.default_params with
-        Tp.Drill.drivers;
-        records_per_driver = records;
-        inserts_per_txn = boxcar;
-      }
+    (* The command-line seed, and any sizing flag given, override the
+       scenario's own; an open-loop scenario owns its load shape. *)
+    let sized (s : Tp.Drill.scenario) =
+      let s = { s with Tp.Drill.seed = Int64.of_int seed } in
+      match (s.Tp.Drill.load, drivers, records, boxcar) with
+      | _, None, None, None -> s
+      | Tp.Drill.Open _, _, _, _ ->
+          drill_usage
+            (Printf.sprintf
+               "plan '%s' owns its open-loop load: --drivers, --records and --boxcar do not \
+                apply"
+               s.Tp.Drill.name)
+      | Tp.Drill.Closed p, _, _, _ ->
+          let ( |? ) o d = Option.value o ~default:d in
+          {
+            s with
+            Tp.Drill.load =
+              Tp.Drill.Closed
+                {
+                  p with
+                  Tp.Drill.drivers = drivers |? p.Tp.Drill.drivers;
+                  records_per_driver = records |? p.Tp.Drill.records_per_driver;
+                  inserts_per_txn = boxcar |? p.Tp.Drill.inserts_per_txn;
+                };
+          }
+    in
+    let scenario =
+      match plan_file with
+      | Some path -> (
+          match scenario_of_file path platform with `Sized s -> sized s | `Pinned s -> s)
+      | None -> (
+          match Tp.Drill.scenario ~defenses:(not no_defenses) platform plan_name with
+          | Ok s -> sized s
+          | Error e -> drill_usage e)
     in
     let obs, sample_interval =
       if interval_ms > 0 then (Some (Obs.create ()), Some (Time.ms interval_ms))
       else (None, None)
     in
-    if plan_name = "overload" then begin
-      (* The overload drill owns its load shape entirely — an open-loop
-         flash-crowd arrival schedule is the experiment — so it ignores
-         --records, --boxcar and --drivers and goes through its
-         dedicated entry point.  The gate is goodput under and after the
-         spike, not just row durability. *)
-      if mode <> Tp.System.Pm_audit then begin
-        prerr_endline "odsbench drill: plan 'overload' requires --mode pm";
-        exit 2
-      end;
-      match
-        Tp.Drill.run_overload ~seed:(Int64.of_int seed) ?obs ?sample_interval
-          ~defenses:(not no_defenses) ?flight ()
-      with
-      | Error e -> drill_fail json e
-      | Ok r ->
-          if json then print_endline (Json.to_string (overload_drill_json r))
-          else overload_drill_text r;
-          if not (Tp.Drill.overload_pass r) then begin
-            Printf.eprintf
-              "odsbench drill: overload gate violated (lost=%d warmup=%.1f tps \
-               spike=%.1f tps recovery=%s rejected=%d)\n"
-              r.Tp.Drill.v_lost_rows r.Tp.Drill.v_warmup_goodput
-              r.Tp.Drill.v_spike_goodput
-              (match r.Tp.Drill.v_recovery_time with
-              | Some t -> Time.to_string t
-              | None -> "never")
-              r.Tp.Drill.v_rejected;
-            exit 1
-          end
-    end
-    else if plan_name = "grayfail" then begin
-      (* The gray-failure drill owns its load shape (the p99 gate needs
-         a known sample count) and runs twice — healthy baseline, then
-         the staged fail-slow schedule — so it ignores --records and
-         --boxcar and goes through its dedicated entry point. *)
-      if mode <> Tp.System.Pm_audit then begin
-        prerr_endline "odsbench drill: plan 'grayfail' requires --mode pm";
-        exit 2
-      end;
-      let params = { Tp.Drill.gray_params with Tp.Drill.drivers } in
-      match
-        Tp.Drill.run_gray ~seed:(Int64.of_int seed) ?obs ?sample_interval ~params
-          ~defenses:(not no_defenses) ?flight ()
-      with
-      | Error e -> drill_fail json e
-      | Ok g ->
-          if json then print_endline (Json.to_string (gray_drill_json g))
-          else gray_drill_text g;
-          if not (Tp.Drill.gray_pass g) then begin
-            Printf.eprintf
-              "odsbench drill: gray-failure gate violated (lost=%d p99-ratio=%.2f \
-               demotions=%d readmissions=%d)\n"
-              g.Tp.Drill.g_degraded.Tp.Drill.lost_rows g.Tp.Drill.g_p99_ratio
-              g.Tp.Drill.g_demotions g.Tp.Drill.g_readmissions;
-            exit 1
-          end
-    end
-    else if plan_name = "corruption" then begin
-      (* The storage-integrity drill has its own config (scrubber +
-         verified reads) and crash-time decay, so it goes through its
-         dedicated entry point; the exit gate is the integrity audit,
-         not just row durability. *)
-      if mode <> Tp.System.Pm_audit then begin
-        prerr_endline "odsbench drill: plan 'corruption' requires --mode pm";
-        exit 2
-      end;
-      match
-        Tp.Drill.run_corruption ~seed:(Int64.of_int seed) ?obs ?sample_interval ~params
-          ~defenses:(not no_defenses) ?flight ()
-      with
-      | Error e -> drill_fail json e
-      | Ok r ->
-          if json then
-            print_endline (Json.to_string (drill_json ~plan:"corruption" r))
-          else drill_text r;
-          if not (Tp.Drill.integrity_clean r) then begin
-            let div =
-              match r.Tp.Drill.integrity with
-              | Some i -> i.Tp.Drill.unrepaired_divergence
-              | None -> 0
-            in
-            Printf.eprintf
-              "odsbench drill: integrity violated (%d rows lost, %d divergent chunks \
-               unrepaired)\n"
-              r.Tp.Drill.lost_rows div;
-            exit 1
-          end
-    end
-    else begin
-      let plan =
-        match plan_name with
-        | "standard" -> Tp.Drill.standard_plan mode
-        | "kills" ->
-            (* Process-pair decapitations only. *)
-            List.filter
-              (fun ev ->
-                match ev.Tp.Faultplan.action with
-                | Tp.Faultplan.Kill_primary _ -> true
-                | _ -> false)
-              (Tp.Drill.standard_plan mode)
-        | "none" -> []
-        | other ->
-            Printf.eprintf "odsbench drill: unknown plan '%s' (%s)\n" other
-              (String.concat "|" (Tp.Drill.plan_names mode));
-            exit 2
-      in
-      match
-        Tp.Drill.run ~seed:(Int64.of_int seed) ?obs ?sample_interval ~params ?flight ~mode
-          ~plan ()
-      with
-      | Error e -> drill_fail json e
-      | Ok r ->
-          if json then
-            print_endline (Json.to_string (drill_json ~plan:plan_name r))
-          else drill_text r;
-          if not (Tp.Drill.zero_loss r) then begin
-            Printf.eprintf "odsbench drill: %d acknowledged rows lost after recovery\n"
-              r.Tp.Drill.lost_rows;
-            exit 1
-          end
-    end
-  end
+    match Tp.Drill.run ?obs ?sample_interval ?flight scenario with
+    | Error e ->
+        if json then print_endline (Json.to_string (Json.Obj [ ("error", Json.String e) ]));
+        prerr_endline ("odsbench drill: " ^ e);
+        exit 1
+    | Ok r ->
+        if json then print_endline (Json.to_string (Tp.Drill.report_json r))
+        else print_string (Tp.Drill.report_text r);
+        let v = Tp.Drill.Oracle.of_report r in
+        if not (Tp.Drill.Oracle.pass v) then begin
+          Printf.eprintf "odsbench drill: %s gate failed: %s\n" scenario.Tp.Drill.name
+            (Tp.Drill.Oracle.summary v);
+          exit 1
+        end
 
 let drill_cmd =
   let mode =
@@ -1165,23 +519,22 @@ let drill_cmd =
       value & opt string "standard"
       & info [ "plan" ] ~docv:"standard|kills|corruption|grayfail|overload|none|partition"
           ~doc:
-            "Fault schedule: $(b,standard) is the full drill (PM: PMM kill, NPMU \
+            "Drill scenario: $(b,standard) is the full drill (PM: PMM kill, NPMU \
              power-cycle, rail flap, CRC noise, resync), $(b,kills) keeps only the \
              process-pair kills, $(b,corruption) (PM mode) injects silent media decay \
              and torn stores with the scrubber and verified reads armed and audits \
              storage integrity, $(b,grayfail) (PM mode) degrades the mirror NPMU, a \
              fabric rail and a data spindle fail-slow with the latency health monitor, \
-             hedged reads and slow-mirror demotion armed, gating on bounded commit p99 \
-             and a completed demotion/re-admission cycle (it owns its load shape: \
-             --records and --boxcar are ignored), $(b,overload) (PM mode) offers an \
-             open-loop flash crowd (5x the base rate) to impatient clients with \
-             admission control, deadlines, retry budgets and breakers armed, gating on \
-             spike goodput above a floor and bounded recovery after the spike (it owns \
-             its load shape: --records, --boxcar and --drivers are ignored), $(b,none) \
-             runs faultless.  In cluster mode, \
+             hedged reads and slow-mirror demotion armed, gating on commit p99 against a \
+             healthy baseline and a completed demotion/re-admission cycle, \
+             $(b,overload) (PM mode) offers an open-loop flash crowd (5x the base rate) \
+             to impatient clients with admission control, deadlines, retry budgets and \
+             breakers armed, gating on spike goodput above a floor and bounded recovery \
+             after the spike, $(b,none) runs faultless.  In cluster mode, \
              $(b,partition) (the default) severs the inter-node link mid-2PC, kills the \
              coordinator, heals, takes over the PM manager and probes the epoch fence.  \
-             $(b,--list-plans) prints the names valid for the selected mode.")
+             Every scenario is judged by the same invariant oracle.  $(b,--list-plans) \
+             prints the names valid for the selected mode.")
   in
   let list_plans =
     Arg.(
@@ -1212,10 +565,15 @@ let drill_cmd =
              negative control that shows what the faults cost undefended (expect a \
              non-zero exit).")
   in
-  let drivers = Arg.(value & opt int 2 & info [ "drivers" ] ~docv:"N" ~doc:"Driver count.") in
-  let boxcar =
-    Arg.(value & opt int 8 & info [ "boxcar" ] ~docv:"N" ~doc:"Inserts per transaction.")
+  let sizing name docv doc =
+    Arg.(
+      value & opt (some int) None
+      & info [ name ] ~docv
+          ~doc:(doc ^ " (default: the scenario's own sizing; closed-loop scenarios only)."))
   in
+  let drivers = sizing "drivers" "N" "Driver count" in
+  let boxcar = sizing "boxcar" "N" "Inserts per transaction" in
+  let records = sizing "records" "N" "Records inserted per driver" in
   let seed =
     Arg.(value & opt int 0xD5177 & info [ "seed" ] ~docv:"N" ~doc:"Simulation seed.")
   in
@@ -1234,16 +592,17 @@ let drill_cmd =
           ~doc:
             "Arm the failure flight recorder: keep a bounded ring of the most recent \
              commit-path spans plus every fault-injection mark, and dump it to $(docv) \
-             as JSON automatically if the drill's gate fails — the last moments before \
-             the failure, already collected.")
+             as JSON automatically if the verdict fails, ending with a \
+             \"<plan> gate failed: ...\" mark — the last moments before the failure, \
+             already collected.")
   in
   Cmd.v
     (Cmd.info "drill"
        ~doc:
-         "Run hot-stock load under a fault schedule, crash, recover, and audit that no \
-          acknowledged commit was lost")
+         "Run a drill scenario: load under a fault schedule, crash, recover, audit that \
+          no acknowledged commit was lost, and judge the report with the invariant oracle")
     Term.(
-      const drill $ mode $ plan $ plan_file $ drivers $ boxcar $ records_arg 400 $ seed
+      const drill $ mode $ plan $ plan_file $ drivers $ boxcar $ records $ seed
       $ interval_ms $ flight $ list_plans $ no_defenses $ json_arg)
 
 (* --- explore: adversarial fault-schedule search --- *)

@@ -485,7 +485,7 @@ let read_plain ?(span = Span.null) t h ~off ~len =
   if not (bounds_ok region ~off ~len) then Error (Pm_types.Bad_request "read out of bounds")
   else begin
     let addr = region.Pm_types.net_base + off in
-    let mirror_usable = region.Pm_types.mirror_active in
+    let mirror_usable = region.Pm_types.mirror_readable in
     let hedge = t.cfg.hedged_reads && t.cfg.mirrored_writes && mirror_usable in
     (* Rounds of primary-then-mirror (or a hedged pair): a transient
        fabric error on both devices (rail flap mid-burst) earns a
@@ -594,9 +594,10 @@ let verify_repair_range t h ~addr ~len =
 let read_verified_sp span t h ~off ~len =
   let region = h.region in
   if not (bounds_ok region ~off ~len) then Error (Pm_types.Bad_request "read out of bounds")
-  else if not region.Pm_types.mirror_active then
-    (* Demoted mirror: its contents are legitimately stale, so there is
-       nothing meaningful to cross-check until re-admission resyncs it. *)
+  else if not region.Pm_types.mirror_readable then
+    (* Demoted or rebuilding mirror: its contents are legitimately stale,
+       so there is nothing meaningful to cross-check until re-admission
+       resyncs it. *)
     read_plain ~span t h ~off ~len
   else begin
     let addr = region.Pm_types.net_base + off in

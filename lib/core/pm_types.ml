@@ -35,6 +35,9 @@ type region_info = {
       (* false while the PMM has demoted a persistently slow (or failed)
          mirror: clients must write single-copy under the degraded-
          durability contract and skip mirror reads until re-admission *)
+  mirror_readable : bool;
+      (* the mirror holds a whole copy and may serve reads: false while
+         demoted and while a re-admitted mirror is still being rebuilt *)
 }
 
 let pp_region_info ppf r =

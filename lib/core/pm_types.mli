@@ -29,6 +29,11 @@ type region_info = {
           failed) mirror copy: the client writes single-copy under the
           degraded-durability contract and skips mirror reads until the
           resync path re-admits the device *)
+  mirror_readable : bool;
+      (** the mirror holds a whole copy and may serve reads (hedged,
+          verified, failover): [false] while demoted and while a
+          re-admitted mirror — already back on the write path — is still
+          being rebuilt *)
 }
 
 val pp_region_info : Format.formatter -> region_info -> unit

@@ -242,6 +242,9 @@ type t = {
   mutable mirror_active : bool;
       (** false while a persistently slow mirror is demoted: clients
           write single-copy under the degraded-durability contract *)
+  mutable mirror_rebuilding : bool;
+      (** a re-admitted mirror back on the write path but still being
+          copied: clients write both copies, read the primary only *)
   mutable demotions : int;
   mutable readmissions : int;
   mutable monitor : monitor option;
@@ -433,6 +436,7 @@ let region_info t r =
     mirror_npmu = t.mirr_dev.dev_id;
     epoch = (live_exn t).epoch;
     mirror_active = t.mirror_active;
+    mirror_readable = t.mirror_active && not t.mirror_rebuilding;
   }
 
 let epoch t = match t.live with Some m -> m.epoch | None -> 0
@@ -452,9 +456,16 @@ let apply_mutation t meta =
    the metadata reserve plus every allocated extent, in 64 KiB RDMA
    transfers through the manager's CPU.  Shared by the Resync management
    request and the health monitor's re-admission path.  On success the
-   rebuilt device gets its AVT windows back, a demoted mirror is
-   re-admitted, and the volume is fenced so clients re-open against the
-   fresh pair. *)
+   rebuilt device gets its AVT windows back, a rebuilding mirror is
+   re-admitted for reads, and the volume is fenced so clients re-open
+   against the fresh pair.
+
+   Clients keep writing both copies while the copy runs, so each chunk
+   is verified: after writing it to the destination, re-read the source
+   chunk and copy it again if it changed.  Clients write the primary
+   before the mirror, so a write that lands on the source after the
+   chunk was read either shows up in the re-read or reaches the
+   destination itself after the copy did. *)
 let do_resync t meta ~from_primary =
   let src_dev, dst_dev =
     if from_primary then (t.prim_dev, t.mirr_dev) else (t.mirr_dev, t.prim_dev)
@@ -469,26 +480,38 @@ let do_resync t meta ~from_primary =
   let chunk = 64 * 1024 in
   let copied = ref 0 in
   let copy_extent ~off ~len =
-    let rec go pos =
+    let read pos n =
+      Result.map_error Servernet.Fabric.error_to_string
+        (Servernet.Fabric.rdma_read t.fabric ~src:(src_endpoint t) ~dst:src_dev.dev_id
+           ~addr:(off + pos) ~len:n)
+    in
+    (* A chunk still changing after this many copies fails the resync
+       rather than chasing a writer forever. *)
+    let max_copies = 16 in
+    let rec go pos data copies =
+      let n = Bytes.length data in
+      match
+        Servernet.Fabric.rdma_write t.fabric ~src:(src_endpoint t) ~dst:dst_dev.dev_id
+          ~addr:(off + pos) ~data
+      with
+      | Error e -> Error (Servernet.Fabric.error_to_string e)
+      | Ok () -> (
+          copied := !copied + n;
+          match read pos n with
+          | Error e -> Error e
+          | Ok fresh when not (Bytes.equal fresh data) ->
+              if copies >= max_copies then
+                Error (Printf.sprintf "chunk at 0x%x kept changing" (off + pos))
+              else go pos fresh (copies + 1)
+          | Ok _ -> next (pos + n))
+    and next pos =
       if pos >= len then Ok ()
       else
-        let n = min chunk (len - pos) in
-        match
-          Servernet.Fabric.rdma_read t.fabric ~src:(src_endpoint t) ~dst:src_dev.dev_id
-            ~addr:(off + pos) ~len:n
-        with
-        | Error e -> Error (Servernet.Fabric.error_to_string e)
-        | Ok data -> (
-            match
-              Servernet.Fabric.rdma_write t.fabric ~src:(src_endpoint t) ~dst:dst_dev.dev_id
-                ~addr:(off + pos) ~data
-            with
-            | Error e -> Error (Servernet.Fabric.error_to_string e)
-            | Ok () ->
-                copied := !copied + n;
-                go (pos + n))
+        match read pos (min chunk (len - pos)) with
+        | Error e -> Error e
+        | Ok data -> go pos data 1
     in
-    go 0
+    next 0
   in
   let extents =
     (0, t.cfg.meta_reserve) :: List.map (fun r -> (r.offset, r.length)) meta.regions
@@ -512,8 +535,9 @@ let do_resync t meta ~from_primary =
       t.mirr_ok <- true;
       (* A fresh copy also re-admits a demoted (persistently slow)
          mirror: full-durability mirrored writes resume at the fence. *)
-      if not t.mirror_active then begin
+      if (not t.mirror_active) || t.mirror_rebuilding then begin
         t.mirror_active <- true;
+        t.mirror_rebuilding <- false;
         t.readmissions <- t.readmissions + 1
       end;
       (* A rebuilt mirror is a new incarnation of the volume: fence
@@ -543,6 +567,27 @@ let demote_mirror t =
         true
       end
       else false
+
+(* Re-admit a demoted mirror into a live volume.  Writers keep appending
+   while the copy runs, and a chunk copied before their single-copy
+   write landed would stay stale for good — so the mirror first rejoins
+   the write path (the epoch bump bounces every single-copy grant and
+   clients re-open writing both copies, still reading the primary only),
+   then a verified copy rebuilds it.  A failed copy demotes it again. *)
+let readmit_mirror t =
+  match t.live with
+  | Some meta when not t.mirror_active -> (
+      t.mirror_active <- true;
+      t.mirror_rebuilding <- true;
+      bump_epoch t meta;
+      match do_resync t meta ~from_primary:true with
+      | Ok _ -> true
+      | Error _ ->
+          t.mirror_active <- false;
+          t.mirror_rebuilding <- false;
+          bump_epoch t meta;
+          false)
+  | _ -> false
 
 let handle_request t req =
   let meta = live_exn t in
@@ -715,6 +760,7 @@ let start ~fabric ~name ~primary_cpu ~backup_cpu ~primary_dev ~mirror_dev
       recovery_time = None;
       scrub = None;
       mirror_active = true;
+      mirror_rebuilding = false;
       demotions = 0;
       readmissions = 0;
       monitor = None;
@@ -1175,12 +1221,9 @@ let monitor_round t m =
         if m.m_mirr_breaches >= m.m_cfg.demote_after then ignore (demote_mirror t)
       end
       else if m.m_mirr_healthy >= m.m_cfg.readmit_after then
-        match t.live with
-        | None -> ()
-        | Some meta ->
-            (* A failed resync leaves the mirror demoted; the healthy
-               streak keeps growing and the next round retries. *)
-            (match do_resync t meta ~from_primary:true with Ok _ -> () | Error _ -> ())
+        (* A failed resync leaves the mirror demoted; the healthy
+           streak keeps growing and the next round retries. *)
+        ignore (readmit_mirror t)
 
 let start_monitor t ~cpu ?(config = default_health_config) ?metrics () =
   (match t.monitor with

@@ -210,9 +210,10 @@ val divergent_chunks : ?chunk_bytes:int -> t -> (int * int) list
     from the region info that they must write single-copy — the explicit
     degraded-durability contract.  When the device recovers and stays
     within budget for [readmit_after] consecutive probes, the monitor
-    re-admits it through the ordinary resync path: full copy, windows
-    reprogrammed, [mirror_active] true again, epoch bumped so clients
-    resume mirrored writes. *)
+    re-admits it: the mirror first rejoins the write path (epoch bumped,
+    clients write both copies but read the primary only), then the
+    ordinary resync path rebuilds it — a verified full copy, windows
+    reprogrammed, epoch bumped again so clients may read the mirror. *)
 
 type health_config = {
   probe_interval : Time.span;  (** pause between probe rounds *)
@@ -259,3 +260,13 @@ val demote_mirror : t -> bool
 (** Force the demotion (process context: it persists the fence).  False
     when already demoted or no metadata is live yet.  The monitor calls
     this; exposed for tests and drills. *)
+
+val readmit_mirror : t -> bool
+(** Re-admit a demoted mirror (process context: it persists the fence
+    and runs the copy): back on the write path first, then a verified
+    copy from the primary, re-copying a chunk that changed under it.
+    True once the mirror is whole and readable again; false when it was
+    not demoted, no metadata is live, or the copy failed — a chunk
+    still changing after 16 copies, a fabric error, a power cycle — in
+    which case the mirror is demoted again.  The monitor calls this;
+    exposed for tests. *)

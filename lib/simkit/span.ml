@@ -35,14 +35,13 @@ type t = {
   mutable n_dropped : int;
   mutable next_id : int;
   mutable next_trace : int;
-  mutable sink : Trace.t option;
   mutable consumer : (record -> unit) option;
 }
 
 let create ?(clock = fun () -> Time.zero) ?(capacity = 1_000_000) () =
   if capacity <= 0 then invalid_arg "Span.create: capacity must be positive";
   { on = false; clock; capacity; recs = []; n = 0; n_dropped = 0; next_id = 0;
-    next_trace = 0; sink = None; consumer = None }
+    next_trace = 0; consumer = None }
 
 let set_clock t clock = t.clock <- clock
 
@@ -54,8 +53,6 @@ let enable t =
 
 let disable t = t.on <- false
 let enabled t = t.on
-
-let attach_trace t trace = t.sink <- Some trace
 
 let new_trace t =
   let id = t.next_trace in
@@ -84,11 +81,6 @@ let start t ?(track = "main") ?parent ?trace name =
     let id = t.next_id in
     t.next_id <- id + 1;
     let now = t.clock () in
-    (match t.sink with
-    | Some tr ->
-        Trace.eventf tr ~time:now ~tag:"span" (fun () ->
-            Printf.sprintf "begin %s#%d" name id)
-    | None -> ());
     { sp_id = id; sp_parent = parent_of parent; sp_trace = trace_from parent trace;
       sp_track = track; sp_name = name; sp_start = now; sp_args = []; sp_open = true }
   end
@@ -127,11 +119,6 @@ let finish t sp =
   if sp.sp_id >= 0 && sp.sp_open then begin
     sp.sp_open <- false;
     let now = t.clock () in
-    (match t.sink with
-    | Some tr ->
-        Trace.eventf tr ~time:now ~tag:"span" (fun () ->
-            Printf.sprintf "end %s#%d" sp.sp_name sp.sp_id)
-    | None -> ());
     match t.consumer with
     | Some f ->
         (* Streaming mode: the record is handed off, not retained, so

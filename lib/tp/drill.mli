@@ -1,23 +1,34 @@
 open Simkit
 
-(** Availability/durability drill harness.
+(** The drill runner: scenario → report → verdict.
 
-    A drill builds a fresh system, runs the hot-stock insert mix while a
-    {!Faultplan.t} fires against it, then crashes the node (wipes every
-    DP2 image), runs {!Recovery.run}, and audits durability: every
+    A scenario names a platform (one node in a log mode, or a 2-node
+    cluster), a configuration, a load, and the fault plans.  {!run}
+    builds a fresh system, drives the load while the plan fires,
+    settles, crashes every node (wipes every DP2 image), runs recovery
+    while the recovery plan fires, and audits durability: every
     transaction the client saw acknowledged must be present after
     recovery.  Acknowledged-but-lost rows are the one unforgivable
     failure ({!report.lost_rows}); transactions that visibly failed
     during the faults are availability loss, counted separately.
 
-    The driver is deliberately fault-tolerant where
-    {!Workloads.Hot_stock} is strict: it retries [begin] across
-    takeovers and treats commit errors as data, because a drill's
+    The report is one record: a durability core every drill fills, plus
+    optional sections the platform and load produce — integrity
+    (single-node PM), mitigation (single-node PM), partition (cluster),
+    a healthy baseline (scenarios that ask for one), goodput (open-loop
+    load).  {!Oracle.of_report} is the only pass predicate: the CLI
+    exit code, the flight dump and the explorer all derive from it.
+
+    The drivers are deliberately fault-tolerant where
+    {!Workloads.Hot_stock} is strict: they retry [begin] across
+    takeovers and treat commit errors as data, because a drill's
     subject is the system's behaviour under faults, not the driver's.
 
     Everything is derived from the simulation seed, so a drill replays
-    bit-for-bit: same seed, same plan, same report. *)
+    bit-for-bit: same scenario, same report. *)
 
+(** Closed-loop load: a fixed driver population, each committing its
+    share of the hot-stock insert mix back to back. *)
 type params = {
   drivers : int;
   records_per_driver : int;
@@ -34,258 +45,13 @@ val default_params : params
 (** 2 drivers x 400 records, 4 KiB rows, boxcar 8, 500 ms settle. *)
 
 val cluster_params : params
-(** Cluster-drill sizing: 2 drivers x 60 records, 1 KiB rows, boxcar 4 —
+(** Cluster sizing: 2 drivers x 60 records, 1 KiB rows, boxcar 4 —
     every insert crosses the interconnect and every commit runs
     two-phase, so the volume is kept small. *)
 
-type availability = {
-  adp_takeovers : int;
-  dp2_takeovers : int;
-  tmf_takeovers : int;
-  pmm_takeovers : int;
-  outage : Time.span;  (** cumulative headless time across all pairs *)
-  degraded_writes : int;  (** PM writes that reached one device only *)
-  pm_write_retries : int;  (** transient PM data-path errors retried *)
-  packet_retries : int;  (** fabric CRC retransmissions *)
-}
-
-(** The storage-integrity audit a PM-mode drill appends to its report:
-    what silent corruption was injected, which defense caught it, and
-    whether any divergence survived recovery unaccounted for. *)
-type integrity = {
-  decay_injected : int;  (** media-decay events, including crash decay *)
-  torn_injected : int;  (** torn-store events scheduled *)
-  scrub_chunks : int;  (** chunks the scrubber scanned in total *)
-  scrub_repairs : int;  (** divergent chunks the scrubber repaired *)
-  scrub_quarantined : int;  (** chunks it quarantined as unarbitratable *)
-  read_repairs : int;  (** divergent chunks verified reads repaired *)
-  verify_unrepaired : int;  (** divergence verified reads could not fix *)
-  unrepaired_divergence : int;
-      (** mirrored chunks still divergent after recovery, excluding
-          quarantined ones — silent corruption nothing caught: must
-          be 0 *)
-}
-
-type report = {
-  mode : System.log_mode;
-  seed : int64;
-  elapsed : Time.span;  (** load phase duration *)
-  faults : (Time.t * string) list;  (** injection log, oldest first *)
-  attempted_txns : int;
-  committed : int;  (** acknowledged commits — the durability contract *)
-  failed_txns : int;  (** begins or commits the client saw fail *)
-  acked_rows : int;  (** rows inside acknowledged transactions *)
-  recovered_rows : int;  (** rows recovery rebuilt *)
-  lost_rows : int;  (** acknowledged rows missing after recovery: must be 0 *)
-  in_doubt_after : int;
-      (** prepared branches still undecided after recovery: must be 0 *)
-  orphaned_locks : int;  (** locks still held after recovery: must be 0 *)
-  fence_checks : int;  (** epoch-fence probes executed (load + recovery) *)
-  fence_failures : int;
-      (** probes whose stale write was accepted: must be 0 *)
-  response : Stat.summary;  (** response times of acknowledged commits *)
-  availability : availability;
-  recovery : Recovery.report;
-  integrity : integrity option;
-      (** present in PM mode: the post-recovery full-content audit of
-          both mirrors ({!Pm.Pmm.divergent_chunks}) plus the repair
-          counters *)
-  timeline : Timeseries.t option;
-      (** continuous telemetry over the load phase when [sample_interval]
-          was given: cumulative [drill.committed]/[drill.failed] gauges
-          plus every layer probe, with fault injections as marks — the
-          event-aligned availability overlay *)
-  flight : Flightrec.t option;
-      (** the armed flight recorder when [flight] was given: the bounded
-          ring of recent spans plus every fault mark, already dumped to
-          the given path if the drill's gate failed *)
-}
-
-val zero_loss : report -> bool
-(** [lost_rows = 0] — the invariant every drill asserts. *)
-
-val integrity_clean : report -> bool
-(** The corruption drill's invariant: {!zero_loss} {e and} an integrity
-    audit showing zero unrepaired divergence.  [false] when the report
-    has no integrity section (disk mode). *)
-
-val standard_plan : System.log_mode -> Faultplan.t
-(** The default schedule.  PM mode: PMM primary kill, a mirror-NPMU
-    power cycle, a rail flap, a CRC noise burst, then a mirror resync.
-    Disk mode: ADP, DP2 and TMF primary kills plus the rail flap and
-    noise burst.  Offsets assume {!default_params}-scale load. *)
-
-val partition_plan : Faultplan.t
-(** The cluster partition schedule: sever the inter-node link mid-2PC,
-    kill the coordinator node's monitor while the link is down, heal,
-    take over the PM manager (bumping the volume epoch), then verify the
-    epoch fence is armed.  Offsets assume {!cluster_params}-scale load;
-    cluster-scoped ({!run_cluster} / {!Faultplan.launch_cluster})
-    only. *)
-
-val corruption_config : System.config
-(** {!System.pm_config} armed for the corruption drill: 2 MiB trail
-    regions, the background scrubber on a tight cadence, and verified
-    reads on every PM client. *)
-
-val corruption_region_bytes : int
-(** Trail region size under {!corruption_config} (2 MiB). *)
-
-val corruption_trail_base : int -> int
-(** Device byte offset where trail region [i] starts under
-    {!corruption_config}'s first-fit layout — where a decay or torn
-    store must land to hit written frames.  The explorer aims its
-    media faults with this. *)
-
-val corruption_plan : Faultplan.t
-(** The silent-corruption schedule: mirror and primary media decay plus
-    torn stores mid-load (landing in scrubber-unarbitratable active
-    chunks, exercising quarantine and mirror salvage), then post-load
-    decay in settled chunks the scrubber must catch and repair.
-    Offsets assume {!default_params}-scale load under
-    {!corruption_config}. *)
-
-val gray_config : System.config
-(** {!System.pm_config} armed for the gray-failure drill: 2 MiB trail
-    regions, the PMM mirror-health monitor, client latency-health
-    tracking (150 us SLO budget), hedged reads, and adaptive data-path
-    backoff. *)
-
-val gray_no_defense_config : System.config
-(** {!gray_config} with every fail-slow defense off — the negative
-    control platform. *)
-
-val gray_params : params
-(** {!default_params} scaled to 600 commits, so the detection window's
-    slow commits stay below the p99 index in a defended run. *)
-
-val gray_plan : Faultplan.t
-(** The staged fail-slow schedule: the mirror NPMU degrades 200x
-    mid-load, then a rail congests 2x and a data spindle drags 3x, then
-    everything restores — so one run proves detection, demotion, bounded
-    latency, and re-admission.  Offsets assume {!gray_params}-scale load
-    under {!gray_config}. *)
-
-val plan_names : System.log_mode -> string list
-(** The fault-schedule names [odsbench drill --plan] accepts for a
-    mode, canonical first. *)
-
-val cluster_plan_names : string list
-
-val run :
-  ?seed:int64 ->
-  ?config:System.config ->
-  ?obs:Obs.t ->
-  ?prof:Prof.t ->
-  ?sample_interval:Time.span ->
-  ?params:params ->
-  ?crash_decay:(int * int * int) list ->
-  ?horizon:Time.span ->
-  ?recovery_plan:Faultplan.t ->
-  ?inspect:(System.t -> unit) ->
-  ?flight:string ->
-  ?gate:(report -> bool) ->
-  mode:System.log_mode ->
-  plan:Faultplan.t ->
-  unit ->
-  (report, string) result
-(** Owns its simulation; safe to call outside process context.  [Error]
-    carries a recovery or plan-validation failure.  [prof] is installed
-    on the drill's simulation for the whole run (see {!Simkit.Prof}).
-    [sample_interval] (requires [obs], else [Invalid_argument]) records
-    a telemetry timeline into {!report.timeline}.  Each [crash_decay]
-    [(device, off, bits)] flips bits on that NPMU at the crash itself —
-    after the scrubber is stopped, before recovery — so only a verified
-    read can catch it; entries with out-of-range device indices are
-    ignored.  [inspect] runs against the live system after recovery
-    succeeds, before the simulation is torn down — the hook gray drills
-    use to harvest counters the report does not carry.
-
-    [horizon] is forwarded to {!Faultplan.validate}: events offset past
-    it are rejected instead of silently never firing.  [recovery_plan]
-    is a second fault schedule whose offsets are relative to the start
-    of recovery — it is launched the instant {!Recovery.run} begins, so
-    its events land while replay and resolution are in flight, and it
-    is awaited (and folded into {!report.faults} and the fence
-    counters) before the durability audit runs.
-
-    [flight] arms a {!Simkit.Flightrec} on the drill's observability
-    context (growing a private one if no [obs] was passed, and raising
-    the global telemetry level to spans): recent spans and every fault
-    injection are ring-buffered, and whenever [gate] (default
-    {!zero_loss}) rejects the report — or the drill errors outright —
-    the black box dumps itself as JSON to that path. *)
-
-val run_corruption :
-  ?seed:int64 ->
-  ?obs:Obs.t ->
-  ?sample_interval:Time.span ->
-  ?params:params ->
-  ?defenses:bool ->
-  ?flight:string ->
-  unit ->
-  (report, string) result
-(** The end-to-end storage-integrity drill: {!run} under
-    {!corruption_config} / {!corruption_plan} with crash decay, PM mode.
-    A clean run satisfies {!integrity_clean} with [scrub_repairs >= 1]
-    and [read_repairs >= 1] — both defense layers proven live.
-    [~defenses:false] is the negative control: same faults with the
-    scrubber and verified reads disabled, which loses rows and leaves
-    divergence behind — evidence the injection is real, and what silent
-    corruption costs without the defenses. *)
-
-(** Result of a gray-failure drill: the healthy-baseline and degraded
-    runs side by side, plus the demotion/re-admission evidence. *)
-type gray_report = {
-  g_seed : int64;
-  g_defended : bool;
-  g_healthy : report;  (** same platform and seed, empty fault plan *)
-  g_degraded : report;  (** under {!gray_plan} *)
-  g_p99_ratio : float;  (** degraded p99 commit latency / healthy p99 *)
-  g_p99_limit : float;  (** the gate the ratio is judged against *)
-  g_demotions : int;  (** slow-mirror demotions the PMM performed *)
-  g_readmissions : int;  (** demoted mirrors resynced back in *)
-  g_mirror_active : bool;  (** mirror re-admitted by the end *)
-  g_monitor_probes : int;
-  g_slow_suspects : int;  (** client-side SLO-breach transitions *)
-  g_hedged_reads : int;
-  g_hedge_wins : int;
-  g_single_copy_writes : int;
-      (** writes under the degraded-durability contract *)
-}
-
-val gray_pass : gray_report -> bool
-(** The acceptance gate: zero acked-but-lost rows in both runs and the
-    p99 ratio within [g_p99_limit]; a defended run must additionally
-    show at least one demotion, one re-admission, the mirror active
-    again, and at least one client-side slow-suspect transition.  An
-    undefended run fails the ratio gate — the negative control. *)
-
-val run_gray :
-  ?seed:int64 ->
-  ?obs:Obs.t ->
-  ?sample_interval:Time.span ->
-  ?params:params ->
-  ?defenses:bool ->
-  ?p99_limit:float ->
-  ?flight:string ->
-  unit ->
-  (gray_report, string) result
-(** The end-to-end gray-failure drill: a healthy baseline run (same
-    seed, no faults), then {!gray_plan} under {!gray_config} — or
-    {!gray_no_defense_config} with [~defenses:false], the negative
-    control whose commit p99 collapses to the slow mirror's latency.
-    [obs] / [sample_interval] / [flight] instrument the degraded run
-    only; the recorder also dumps when {!gray_pass} rejects the combined
-    report (the p99 gate lives here, not in {!run}). *)
-
-(** {1 Overload drill}
-
-    The metastable-failure drill: open-loop flash-crowd load against an
-    impatient client population, defended by admission control,
-    deadlines, retry budgets and breakers — or undefended, the negative
-    control that must stay collapsed after the spike ends. *)
-
+(** Open-loop load: a flash-crowd arrival schedule offered to an
+    impatient client population, one worker per arrival, plus the
+    goodput gates it is judged by. *)
 type overload_params = {
   ov_record_bytes : int;
   ov_inserts_per_txn : int;
@@ -312,149 +78,213 @@ val overload_params : overload_params
 (** Base 400 txns/s (~0.6x measured open-loop capacity), 5x spike for
     400 ms, 1.5 s of cooldown observation in 100 ms windows. *)
 
-val overload_config : System.config
-(** {!System.pm_config} armed with every overload defense: TMF
-    admission control, 150 ms transaction deadlines, budgeted client
-    retries (12-token buckets), per-destination breakers — plus the
-    300 ms client patience that is the storm's raw material. *)
+type load = Closed of params | Open of overload_params
 
-val overload_no_defense_config : System.config
-(** {!overload_config} with every defense off and the same impatient
-    clients — the negative-control platform that goes metastable. *)
+type platform =
+  | Node of System.log_mode  (** one node in the given audit mode *)
+  | Cluster
+      (** two PM nodes behind a 500 us interconnect; every transaction
+          spreads across both and commits two-phase, and node-local
+          faults target node 0 *)
 
-val overload_plan : overload_params -> Faultplan.t
-(** The [Flash_crowd] marker event at the spike's offset; validated with
-    {!Faultplan.validate_overload}. *)
+type scenario = {
+  name : string;
+      (** the plan name: the JSON [plan] key and the flight-recorder mark
+          prefix (["<name> gate failed: ..."]) *)
+  platform : platform;
+  seed : int64;  (** simulation seed; also stamped into the config *)
+  config : System.config;  (** the log mode is forced by [platform] *)
+  load : load;
+  plan : Faultplan.t;  (** load-phase schedule *)
+  recovery_plan : Faultplan.t;
+      (** offsets relative to the start of recovery: launched the
+          instant recovery begins, awaited (and folded into the fault
+          log and fence counters) before the audit *)
+  crash_decay : (int * int * int) list;
+      (** [(device, off, bits)] flipped on that NPMU at the crash itself
+          — after the scrubber stops, before recovery — so only a
+          verified read can catch it; out-of-range devices are ignored *)
+  baseline : bool;
+      (** run the same scenario faultless first; its p99 is the
+          denominator of the latency gate *)
+  horizon : Time.span option;
+      (** plan events offset past this are rejected at validation
+          instead of silently never firing *)
+  max_outage : Time.span option;
+      (** adds the bounded-unavailability check *)
+}
 
-val overload_schedule : overload_params -> Arrival.schedule
-(** The open-loop flash-crowd schedule the drill offers. *)
+val scenario : ?defenses:bool -> platform -> string -> (scenario, string) result
+(** The named drill families, seed [0xD5177]:
+    - ["standard"]: PM — PMM primary kill, mirror-NPMU power cycle, rail
+      flap, CRC noise, resync; disk — ADP, DP2 and TMF kills, rail flap,
+      noise.  Offsets assume {!default_params}-scale load.
+    - ["kills"]: the standard plan's process-pair kills only.
+    - ["corruption"] (PM): media decay and torn stores mid-load and in
+      settled chunks plus crash-time decay, on a platform with 2 MiB
+      trail regions, the background scrubber and verified reads.
+    - ["grayfail"] (PM): the mirror NPMU degrades 200x, then a rail and
+      a spindle drag, then everything restores — against the
+      mirror-health monitor, latency-health tracking, hedged reads and
+      adaptive backoff, judged against a healthy baseline.
+    - ["overload"] (PM): an open-loop 5x flash crowd against admission
+      control, deadlines, retry budgets and breakers.
+    - ["partition"] (cluster; ["standard"] is an alias): WAN pulses
+      mid-2PC, a coordinator monitor kill during a long outage, heal,
+      PMM takeover, then an epoch-fence probe.
+    - ["none"]: no faults.
 
-type overload_report = {
-  v_seed : int64;
-  v_defended : bool;
-  v_arrivals : int;  (** transactions the schedule offered *)
-  v_committed : int;  (** client-acknowledged commits *)
-  v_rejected : int;
-      (** attempts refused by admission or breakers — backpressure,
-          not loss *)
-  v_failed : int;  (** attempts that exhausted their retries *)
-  v_timeouts : int;  (** client calls abandoned after [op_timeout] *)
-  v_admitted : int;  (** TMF admission verdicts *)
-  v_tmf_rejected : int;
-  v_tmf_expired : int;  (** commits shed server-side past deadline *)
-  v_adp_shed : int;  (** flush waits shed past deadline *)
-  v_retry_denied : int;  (** resends the token buckets refused *)
-  v_breaker_trips : int;
-  v_acked_rows : int;
-  v_lost_rows : int;  (** acked rows missing after recovery: must be 0 *)
-  v_elapsed : Time.span;  (** schedule plus straggler drain *)
-  v_warmup_goodput : float;  (** committed/s during warmup *)
-  v_spike_goodput : float;
-  v_cooldown_goodput : float;
-  v_recovery_time : Time.span option;
+    [~defenses:false] (corruption, grayfail and overload only) strips
+    the defenses and keeps the faults: the negative control.  [Error]
+    names an unknown plan, a PM-only plan on a disk node, or a
+    defenseless plan run undefended. *)
+
+val plan_names : platform -> string list
+(** The names {!scenario} accepts for a platform, canonical first. *)
+
+val corruption_trail_base : int -> int
+(** Device byte offset where trail region [i] starts on the corruption
+    platform's first-fit layout — where a decay or torn store must land
+    to hit written frames.  The explorer aims its media faults with
+    this. *)
+
+type availability = {
+  adp_takeovers : int;
+  dp2_takeovers : int;
+  tmf_takeovers : int;
+  pmm_takeovers : int;
+  outage : Time.span;  (** cumulative headless time across all pairs *)
+  degraded_writes : int;  (** PM writes that reached one device only *)
+  pm_write_retries : int;  (** transient PM data-path errors retried *)
+  packet_retries : int;  (** fabric CRC retransmissions *)
+}
+
+(** What silent corruption was injected, which defense caught it, and
+    whether any divergence survived recovery unaccounted for. *)
+type integrity = {
+  decay_injected : int;  (** media-decay events, including crash decay *)
+  torn_injected : int;  (** torn-store events scheduled *)
+  scrub_chunks : int;  (** chunks the scrubber scanned in total *)
+  scrub_repairs : int;  (** divergent chunks the scrubber repaired *)
+  scrub_quarantined : int;  (** chunks it quarantined as unarbitratable *)
+  read_repairs : int;  (** divergent chunks verified reads repaired *)
+  verify_unrepaired : int;  (** divergence verified reads could not fix *)
+  unrepaired_divergence : int;
+      (** mirrored chunks still divergent after recovery, excluding
+          quarantined ones — silent corruption nothing caught: must
+          be 0 *)
+}
+
+(** Fail-slow detection and mitigation counters, harvested after
+    recovery. *)
+type mitigation = {
+  demotions : int;  (** slow-mirror demotions the PMM performed *)
+  readmissions : int;  (** demoted mirrors resynced back in *)
+  mirror_active : bool;  (** mirror active at the end *)
+  monitor_probes : int;
+  slow_suspects : int;  (** client-side SLO-breach transitions *)
+  hedged_reads : int;
+  hedge_wins : int;
+  single_copy_writes : int;  (** writes under the degraded-durability contract *)
+}
+
+type partition = {
+  in_doubt_before : int;
+      (** prepared-but-undecided branches entering recovery, across all
+          nodes — the partition's wreckage *)
+  fenced_writes : int;
+      (** stale-epoch writes the devices rejected (includes the probes) *)
+}
+
+(** Open-loop outcome: backpressure, containment and goodput over
+    time. *)
+type goodput = {
+  rejected : int;
+      (** attempts refused by admission or breakers — backpressure, not
+          loss *)
+  timeouts : int;  (** client calls abandoned after [op_timeout] *)
+  admitted : int;  (** TMF admission verdicts *)
+  tmf_rejected : int;
+  tmf_expired : int;  (** commits shed server-side past deadline *)
+  adp_shed : int;  (** flush waits shed past deadline *)
+  retry_denied : int;  (** resends the token buckets refused *)
+  breaker_trips : int;
+  warmup_tps : float;  (** committed/s during warmup *)
+  spike_tps : float;
+  cooldown_tps : float;
+  recovery_time : Time.span option;
       (** spike end to the first cooldown window back at the recovery
           fraction of warmup goodput; [None] = stayed collapsed while
           load was still arriving — metastability *)
-  v_spike_floor : float;
-  v_recovery_frac : float;
-  v_recovery_limit : Time.span;
-  v_goodput : (Time.t * int) list;
-      (** commits per window (window end, count), oldest first — the
-          goodput-over-time series E17 tabulates *)
-  v_response : Stat.summary;
-  v_faults : (Time.t * string) list;
-  v_recovery : Recovery.report;
-  v_timeline : Timeseries.t option;
-  v_flight : Flightrec.t option;
+  windows : (Time.t * int) list;
+      (** commits per window (window end, count), oldest first *)
 }
 
-val overload_pass : overload_report -> bool
-(** The acceptance gate: zero acked-lost rows, spike goodput at or above
-    the floor, recovery within the bound, and — defended runs only —
-    at least one rejection (proof the admission path actually fired).
-    The undefended run fails the goodput/recovery gates: it stays
-    collapsed after the load drops, which is the point. *)
+type report = {
+  scenario : scenario;
+  elapsed : Time.span;  (** load phase duration (open loop: with the drain) *)
+  faults : (Time.t * string) list;  (** injection log, oldest first *)
+  attempted_txns : int;  (** closed loop: acked + failed; open loop: arrivals *)
+  committed : int;  (** acknowledged commits — the durability contract *)
+  failed_txns : int;  (** transactions the client saw fail *)
+  acked_rows : int;  (** rows inside acknowledged transactions *)
+  recovered_rows : int;  (** rows recovery rebuilt, all nodes *)
+  lost_rows : int;  (** acknowledged rows missing after recovery: must be 0 *)
+  in_doubt_after : int;
+      (** prepared branches still undecided after recovery: must be 0 *)
+  orphaned_locks : int;  (** locks still held after recovery: must be 0 *)
+  fence_checks : int;  (** epoch-fence probes executed (load + recovery) *)
+  fence_failures : int;
+      (** probes whose stale write was accepted: must be 0 *)
+  response : Stat.summary;  (** response times of acknowledged commits *)
+  availability : availability;  (** summed over nodes *)
+  recoveries : Recovery.report list;  (** one per node, in node order *)
+  integrity : integrity option;
+      (** single-node PM: the post-recovery full-content audit of both
+          mirrors ({!Pm.Pmm.divergent_chunks}) plus the repair counters *)
+  partition : partition option;  (** cluster platforms *)
+  mitigation : mitigation option;  (** single-node PM *)
+  baseline : report option;  (** the healthy run, when the scenario asks *)
+  goodput : goodput option;  (** open-loop load *)
+  timeline : Timeseries.t option;
+      (** continuous telemetry over the load phase when [sample_interval]
+          was given: cumulative [drill.committed]/[drill.rejected]/
+          [drill.failed] gauges plus every layer probe, with fault
+          injections as marks *)
+  flight : Flightrec.t option;
+      (** the armed flight recorder when [flight] was given, already
+          dumped if the verdict failed *)
+}
 
-val run_overload :
-  ?seed:int64 ->
+val p99_limit : float
+(** The latency gate: degraded p99 at most 8x the baseline's. *)
+
+val p99_ratio : report -> float option
+(** Commit p99 over the baseline's; [None] without a baseline. *)
+
+val run :
   ?obs:Obs.t ->
+  ?prof:Prof.t ->
   ?sample_interval:Time.span ->
-  ?params:overload_params ->
-  ?defenses:bool ->
-  ?horizon:Time.span ->
   ?flight:string ->
-  unit ->
-  (overload_report, string) result
-(** Run the flash-crowd schedule open-loop against a fresh system, drain
-    the stragglers, crash, recover, and audit durability plus the
-    goodput gates.  Owns its simulation.  [~defenses:false] runs the
-    same schedule and seed on the undefended platform.  [flight] dumps
-    the black box when {!overload_pass} rejects the report. *)
+  scenario ->
+  (report, string) result
+(** Run one scenario — after its faultless baseline, when it asks for
+    one.  Owns its simulation; safe to call outside process context.
+    [Error] carries a plan-validation, recovery or baseline failure.
+    The optional arguments instrument the run without changing what it
+    simulates (the baseline is never instrumented): [prof] is installed
+    for the whole run, [sample_interval] (requires [obs], else
+    [Invalid_argument]; single-node only) records {!report.timeline},
+    and [flight] arms a {!Simkit.Flightrec} on the observability
+    context (growing a private one if no [obs] was passed, and raising
+    the global telemetry level to spans).  Recent spans and every fault
+    injection are ring-buffered; when the verdict fails the recorder
+    appends ["<name> gate failed: "] and {!Oracle.summary}, and dumps
+    itself as JSON to that path — or ["<name> drill error: ..."] when
+    the drill errors outright. *)
 
-(** Result of a cluster drill: the per-node durability audit plus the
-    partition-specific invariants. *)
-type cluster_report = {
-  c_seed : int64;
-  c_nodes : int;
-  c_elapsed : Time.span;  (** load phase duration *)
-  c_faults : (Time.t * string) list;
-  c_attempted : int;
-  c_committed : int;  (** acknowledged distributed commits *)
-  c_failed : int;
-  c_acked_rows : int;
-  c_lost_rows : int;  (** acked rows missing after recovery: must be 0 *)
-  c_in_doubt_before : int;
-      (** prepared-but-undecided branches entering recovery, across all
-          nodes — the partition's wreckage *)
-  c_resolved_commit : int;  (** in-doubt branches committed by resolution *)
-  c_resolved_abort : int;  (** in-doubt branches aborted by resolution *)
-  c_in_doubt_after : int;  (** branches still undecided after: must be 0 *)
-  c_orphaned_locks : int;
-      (** locks still held anywhere after recovery settles: must be 0 *)
-  c_fence_checks : int;  (** epoch-fence probes executed *)
-  c_fence_failures : int;  (** probes whose stale write was accepted: must be 0 *)
-  c_fenced_writes : int;
-      (** stale-epoch writes the devices rejected (includes the probes) *)
-  c_recoveries : Recovery.report list;  (** per node, in node order *)
-  c_response : Stat.summary;
-}
-
-val cluster_zero_loss : cluster_report -> bool
-(** The cluster drill's invariant bundle: zero acked-but-lost rows, an
-    empty in-doubt window, no orphaned locks, and no fence failures. *)
-
-val run_cluster :
-  ?seed:int64 ->
-  ?nodes:int ->
-  ?config:System.config ->
-  ?obs:Obs.t ->
-  ?params:params ->
-  ?horizon:Time.span ->
-  ?recovery_plan:Faultplan.t ->
-  ?flight:string ->
-  plan:Faultplan.t ->
-  unit ->
-  (cluster_report, string) result
-(** A partition drill: build an [nodes]-node PM-mode cluster, run the
-    distributed hot-stock mix (every transaction spreads rows across
-    nodes and commits two-phase) while the plan fires, crash every
-    node's DP2 images, run {!Cluster.recover} — which resolves each
-    node's in-doubt branches against their coordinators — and audit the
-    {!cluster_zero_loss} invariants.  Always PM mode (the fence probe
-    requires it).  Owns its simulation.  [horizon] and [recovery_plan]
-    behave as in {!run}: past-horizon events are rejected at
-    validation, and the recovery plan races {!Cluster.recover}. *)
-
-(** {1 The shared invariant oracle}
-
-    One statement of the platform's safety invariants, applied
-    uniformly to every drill family.  Each invariant is a named check
-    with a pass flag and a human-readable detail; a verdict is the
-    conjunction.  {!gray_pass}, {!overload_pass} and
-    {!cluster_zero_loss} are defined as [pass] of the corresponding
-    verdict, and {!Explorer} judges every generated schedule with the
-    same verdicts — so an explorer violation is exactly a drill-gate
-    failure, never a third opinion. *)
+(** {1 The shared invariant oracle} *)
 module Oracle : sig
   type check = {
     ck_name : string;  (** stable identifier, e.g. ["acked_durable"] *)
@@ -475,29 +305,35 @@ module Oracle : sig
 
   val summary : verdict -> string
   (** One line: ["all invariants hold"] or the failed checks' details,
-      [";"]-joined — the flight-recorder mark a failing drill leaves. *)
+      [";"]-joined. *)
 
   val to_json : verdict -> Json.t
-  (** [{"pass": bool, "checks": [{"name", "ok", "detail"}, ...]}] — the
-      uniform schema every drill JSON report and explorer repro
-      embeds. *)
+  (** [{"pass": bool, "checks": [{"name", "ok", "detail"}, ...]}]. *)
 
-  val of_report : ?max_outage:Time.span -> report -> verdict
-  (** Single-node invariants: zero acked-but-lost rows, in-doubt window
-      drained, no orphaned locks, no fence failures, integrity clean
-      (trivially true when the report carries no integrity audit —
-      unlike the stricter {!integrity_clean} corruption gate), plus
-      bounded unavailability when [max_outage] is given. *)
-
-  val of_cluster : cluster_report -> verdict
-  (** The {!cluster_zero_loss} conjunction, as named checks. *)
-
-  val of_gray : gray_report -> verdict
-  (** The {!gray_pass} conjunction: durability both runs, bounded p99
-      ratio, and (defended runs) the demotion/re-admission evidence. *)
-
-  val of_overload : overload_report -> verdict
-  (** The {!overload_pass} conjunction: durability, spike-goodput
-      floor, bounded recovery, and (defended runs) admission
-      evidence. *)
+  val of_report : report -> verdict
+  (** The one pass predicate.  Every report: zero acked-but-lost rows,
+      in-doubt window drained, no orphaned locks, no fence failures,
+      integrity clean (trivially true without an integrity audit).
+      Plus, by section: bounded unavailability when the scenario sets
+      [max_outage]; with a baseline, baseline durable and p99 within
+      {!p99_limit} — and, when the config arms the mirror-health
+      monitor, a demotion, a re-admission, the mirror active again and
+      a client slow-suspect transition; under open-loop load, warmup
+      progress, spike goodput at the floor, recovery within the limit —
+      and, when the config arms admission control, at least one
+      rejection. *)
 end
+
+val report_json : report -> Json.t
+(** The one drill record.  Every report carries the same top-level
+    keys: [mode], [plan], [seed], [defended] (the config arms the
+    scrubber, verified reads, the mirror-health monitor or admission
+    control), the durability core,
+    [zero_loss], [pass], [oracle], [response_ms], [availability],
+    [recoveries], and the sections [integrity], [partition],
+    [mitigation], [latency_ms], [baseline] (a nested record),
+    [goodput] and [timeline] — [null] when absent. *)
+
+val report_text : report -> string
+(** Human-readable rendering of the same record, ending with the
+    verdict and, when sampled, the availability overlay. *)

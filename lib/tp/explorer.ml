@@ -61,15 +61,6 @@ let disk_params = { pm_params with Drill.settle = Time.ms 500 }
 
 let cluster_params = { Drill.cluster_params with Drill.records_per_driver = 32 }
 
-(* PM schedules run on the corruption-drill platform: small regions, the
-   scrubber on a tight cadence, verified reads — the full defense stack
-   the media-fault motifs are aimed at.  [defenses:false] strips the
-   integrity defenses, which is how the explorer proves it can find the
-   known silent-corruption failures. *)
-let pm_config ~defenses =
-  if defenses then Drill.corruption_config
-  else { Drill.corruption_config with System.pm_scrub = None; pm_verified_reads = false }
-
 (* Liveness tripwire more than a latency SLO: a schedule that wedges a
    pair headless for this long is a finding even with zero rows lost. *)
 let max_outage = Time.sec 30
@@ -77,6 +68,35 @@ let max_outage = Time.sec 30
 (* Load plans never reach past this; validation enforces it so a
    mutated or hand-edited repro cannot silently carry dead events. *)
 let horizon = Time.sec 2
+
+(* The drill family each kind runs on, resized for the corpus.  PM
+   schedules run on the corruption platform — small regions, the
+   scrubber on a tight cadence, verified reads — the full defense stack
+   the media-fault motifs are aimed at; [defenses:false] strips the
+   integrity defenses (and the overload ones), which is how the
+   explorer proves it can find the known silent-corruption failures. *)
+let family ~defenses kind =
+  let named ?defenses platform name = Result.get_ok (Drill.scenario ?defenses platform name) in
+  match kind with
+  | Pm ->
+      {
+        (named ~defenses (Drill.Node System.Pm_audit) "corruption") with
+        Drill.load = Drill.Closed pm_params;
+        crash_decay = [];
+        max_outage = Some max_outage;
+      }
+  | Disk ->
+      {
+        (named (Drill.Node System.Disk_audit) "none") with
+        Drill.load = Drill.Closed disk_params;
+        max_outage = Some max_outage;
+      }
+  | Cluster -> { (named Drill.Cluster "partition") with Drill.load = Drill.Closed cluster_params }
+  | Overload -> named ~defenses (Drill.Node System.Pm_audit) "overload"
+
+(* The overload drill owns its arrival schedule; its plan is the spike
+   marker it injects. *)
+let overload_marker = (family ~defenses:true Overload).Drill.plan
 
 (* --- Coverage accounting --- *)
 
@@ -347,7 +367,7 @@ let generate ~seed ~index =
         s_index = index;
         s_seed;
         s_kind;
-        s_plan = Drill.overload_plan Drill.overload_params;
+        s_plan = overload_marker;
         s_recovery = [];
       }
   | _ ->
@@ -405,37 +425,20 @@ let verdict_json = function
   | Verdict v -> Drill.Oracle.to_json v
   | Harness_error e -> Json.Obj [ ("pass", Json.Bool false); ("error", Json.String e) ]
 
-let oracle_gate r = Drill.Oracle.pass (Drill.Oracle.of_report ~max_outage r)
+let scenario_of_schedule ~defenses s =
+  {
+    (family ~defenses s.s_kind) with
+    Drill.name = "explore-" ^ kind_name s.s_kind;
+    seed = s.s_seed;
+    plan = s.s_plan;
+    recovery_plan = s.s_recovery;
+    horizon = Some horizon;
+  }
 
 let execute ?flight ~defenses s =
-  match s.s_kind with
-  | Pm -> (
-      match
-        Drill.run ~seed:s.s_seed ~config:(pm_config ~defenses) ~params:pm_params
-          ~horizon ~recovery_plan:s.s_recovery ?flight ~gate:oracle_gate
-          ~mode:System.Pm_audit ~plan:s.s_plan ()
-      with
-      | Error e -> Harness_error e
-      | Ok r -> Verdict (Drill.Oracle.of_report ~max_outage r))
-  | Disk -> (
-      match
-        Drill.run ~seed:s.s_seed ~params:disk_params ~horizon
-          ~recovery_plan:s.s_recovery ?flight ~gate:oracle_gate
-          ~mode:System.Disk_audit ~plan:s.s_plan ()
-      with
-      | Error e -> Harness_error e
-      | Ok r -> Verdict (Drill.Oracle.of_report ~max_outage r))
-  | Cluster -> (
-      match
-        Drill.run_cluster ~seed:s.s_seed ~params:cluster_params ~horizon
-          ~recovery_plan:s.s_recovery ?flight ~plan:s.s_plan ()
-      with
-      | Error e -> Harness_error e
-      | Ok r -> Verdict (Drill.Oracle.of_cluster r))
-  | Overload -> (
-      match Drill.run_overload ~seed:s.s_seed ~defenses ?flight () with
-      | Error e -> Harness_error e
-      | Ok r -> Verdict (Drill.Oracle.of_overload r))
+  match Drill.run ?flight (scenario_of_schedule ~defenses s) with
+  | Error e -> Harness_error e
+  | Ok r -> Verdict (Drill.Oracle.of_report r)
 
 (* --- The shrinker ---
 
@@ -613,13 +616,8 @@ let repro_of_json json =
     let* rp_recovery = Faultplan.of_json rec_json in
     Ok { rp_kind; rp_seed; rp_defenses; rp_plan; rp_recovery }
 
-type replay_result =
-  | Single of Drill.report
-  | Clustered of Drill.cluster_report
-  | Overloaded of Drill.overload_report
-
-let replay ?flight r =
-  let s =
+let scenario_of_repro r =
+  scenario_of_schedule ~defenses:r.rp_defenses
     {
       s_index = 0;
       s_seed = r.rp_seed;
@@ -627,40 +625,15 @@ let replay ?flight r =
       s_plan = r.rp_plan;
       s_recovery = r.rp_recovery;
     }
-  in
-  match r.rp_kind with
-  | Pm -> (
-      match
-        Drill.run ~seed:s.s_seed ~config:(pm_config ~defenses:r.rp_defenses)
-          ~params:pm_params ~horizon ~recovery_plan:s.s_recovery ?flight
-          ~gate:oracle_gate ~mode:System.Pm_audit ~plan:s.s_plan ()
-      with
-      | Error e -> Error e
-      | Ok rep -> Ok (Single rep))
-  | Disk -> (
-      match
-        Drill.run ~seed:s.s_seed ~params:disk_params ~horizon
-          ~recovery_plan:s.s_recovery ?flight ~gate:oracle_gate
-          ~mode:System.Disk_audit ~plan:s.s_plan ()
-      with
-      | Error e -> Error e
-      | Ok rep -> Ok (Single rep))
-  | Cluster -> (
-      match
-        Drill.run_cluster ~seed:s.s_seed ~params:cluster_params ~horizon
-          ~recovery_plan:s.s_recovery ?flight ~plan:s.s_plan ()
-      with
-      | Error e -> Error e
-      | Ok rep -> Ok (Clustered rep))
-  | Overload -> (
-      match Drill.run_overload ~seed:s.s_seed ~defenses:r.rp_defenses ?flight () with
-      | Error e -> Error e
-      | Ok rep -> Ok (Overloaded rep))
 
-let replay_verdict = function
-  | Single rep -> Drill.Oracle.of_report ~max_outage rep
-  | Clustered rep -> Drill.Oracle.of_cluster rep
-  | Overloaded rep -> Drill.Oracle.of_overload rep
+type replay_result = Single of Drill.report | Clustered of Drill.report
+
+let replay ?flight r =
+  Result.map
+    (fun rep -> if r.rp_kind = Cluster then Clustered rep else Single rep)
+    (Drill.run ?flight (scenario_of_repro r))
+
+let replay_verdict (Single rep | Clustered rep) = Drill.Oracle.of_report rep
 
 (* --- The explorer loop --- *)
 

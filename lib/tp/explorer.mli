@@ -79,11 +79,19 @@ val violates : verdict_or_error -> bool
 
 val verdict_json : verdict_or_error -> Json.t
 
+val scenario_of_schedule : defenses:bool -> schedule -> Drill.scenario
+(** The drill a schedule runs: its kind's platform (PM schedules on the
+    corruption platform, disk, the 2-node cluster, or the flash-crowd
+    overload drill), resized for the corpus, with the schedule's seed and
+    plans, the validation {!horizon}, and {!max_outage} on the
+    single-node closed-loop kinds.  [defenses:false] strips the PM
+    integrity defenses (scrubber, verified reads) and the overload
+    defenses — the weakened platform the explorer must find known
+    failures on. *)
+
 val execute : ?flight:string -> defenses:bool -> schedule -> verdict_or_error
-(** Run one schedule on its drill platform and judge it with the
-    matching oracle.  [defenses:false] strips the PM integrity
-    defenses (scrubber, verified reads) and the overload defenses —
-    the weakened platform the explorer must find known failures on. *)
+(** {!Drill.run} the schedule's scenario and judge it with
+    {!Drill.Oracle.of_report}. *)
 
 val minimize :
   ?max_replays:int ->
@@ -169,10 +177,13 @@ val repro_of_json : Json.t -> (repro, string) result
 (** Parse a repro document.  Errors name the missing field, bad kind,
     or — delegated to {!Faultplan.of_json} — the offending action. *)
 
-type replay_result =
-  | Single of Drill.report
-  | Clustered of Drill.cluster_report
-  | Overloaded of Drill.overload_report
+val scenario_of_repro : repro -> Drill.scenario
+(** {!scenario_of_schedule} of the repro's kind, seed, defenses and
+    plans. *)
+
+type replay_result = Single of Drill.report | Clustered of Drill.report
+(** A replayed report, tagged by platform: [Clustered] for cluster
+    repros, [Single] for every single-node kind. *)
 
 val replay : ?flight:string -> repro -> (replay_result, string) result
 (** Re-run a repro exactly: same platform, same seed, same plans.
@@ -180,4 +191,5 @@ val replay : ?flight:string -> repro -> (replay_result, string) result
     reports. *)
 
 val replay_verdict : replay_result -> Drill.Oracle.verdict
-(** Judge a replay with the oracle the explorer used for that kind. *)
+(** {!Drill.Oracle.of_report} of the replayed report — the verdict
+    {!execute} gives the same schedule. *)

@@ -119,7 +119,7 @@ let run_open ?sessions system schedule ~record_bytes ~inserts_per_txn =
     decr outstanding
   in
   let arrivals =
-    Arrival.run ~rng schedule ~f:(fun index ->
+    Simkit.Arrival.run ~rng schedule ~f:(fun index ->
         incr outstanding;
         ignore
           (Cpu.spawn

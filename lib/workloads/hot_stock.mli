@@ -46,7 +46,7 @@ val txn_size_label : params -> string
     {!run} is closed-loop: each driver waits for its commit before the
     next transaction, so offered load self-limits to service capacity
     and overload is unobservable.  {!run_open} instead dispatches
-    transactions on an {!Arrival} schedule — arrivals do not wait for
+    transactions on an {!Simkit.Arrival} schedule — arrivals do not wait for
     earlier transactions, so in-flight work is unbounded unless the
     system's admission control bounds it. *)
 
@@ -65,7 +65,7 @@ type open_result = {
 val run_open :
   ?sessions:int ->
   Tp.System.t ->
-  Arrival.schedule ->
+  Simkit.Arrival.schedule ->
   record_bytes:int ->
   inserts_per_txn:int ->
   open_result

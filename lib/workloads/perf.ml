@@ -107,10 +107,8 @@ let hot_stock_run ~records ~mode ~drivers prof =
   (cell.Figures.result.Hot_stock.elapsed, cell.Figures.result.Hot_stock.committed)
 
 let drill_run prof =
-  match
-    Tp.Drill.run ~seed:drill_seed ~prof ~mode:Tp.System.Pm_audit
-      ~plan:(Tp.Drill.standard_plan Tp.System.Pm_audit) ()
-  with
+  let standard = Result.get_ok (Tp.Drill.scenario (Tp.Drill.Node Tp.System.Pm_audit) "standard") in
+  match Tp.Drill.run ~prof { standard with Tp.Drill.seed = drill_seed } with
   | Ok r -> (r.Tp.Drill.elapsed, r.Tp.Drill.committed)
   | Error e -> failwith ("perf: drill workload failed: " ^ e)
 

@@ -121,9 +121,12 @@ let test_validate_horizon () =
 
 let test_drill_run_horizon () =
   match
-    Tp.Drill.run ~seed:0x1L ~horizon:(Time.ms 100) ~mode:Tp.System.Pm_audit
-      ~plan:[ Tp.Faultplan.at (Time.ms 200) (Tp.Faultplan.Kill_primary Tmf) ]
-      ()
+    Tp.Drill.run
+      {
+        (Test_util.drill_scenario ~seed:0x1L (Tp.Drill.Node Tp.System.Pm_audit) "none") with
+        Tp.Drill.horizon = Some (Time.ms 100);
+        plan = [ Tp.Faultplan.at (Time.ms 200) (Tp.Faultplan.Kill_primary Tmf) ];
+      }
   with
   | Ok _ -> Alcotest.fail "drill ran a plan with an event past the horizon"
   | Error e -> check_bool "mentions the horizon" true (contains e "horizon")

@@ -271,6 +271,110 @@ let test_demote_mirror_is_idempotent () =
       check_bool "second is a no-op" false (Pmm.demote_mirror topo.pmm);
       check_int "counted once" 1 (Pmm.demotions topo.pmm))
 
+(* Re-admission under live writers.  The mirror rejoins the write path
+   before it is rebuilt, so appends that land mid-copy reach it either
+   way; until the copy is whole, reads stay on the primary even when a
+   slow primary would otherwise hedge to the stale mirror. *)
+let test_readmit_under_live_writer () =
+  let topo = make_topo () in
+  let rebuilding = ref false in
+  let during = ref [] in
+  let hedges_during = ref (-1) in
+  let appends = ref 0 in
+  let ok = Test_util.ok_or_fail in
+  let readmitted =
+    Test_util.run_in topo.sim (fun () ->
+        let c = client ~config:health_config topo 2 in
+        let h = opened ~msg:"create" (Pm_client.create_region c ~name:"r" ~size:(256 * 1024)) in
+        Test_util.check_result_ok "mirrored write"
+          (Pm_client.write c h ~off:0 ~data:(Bytes.make 4096 'm'));
+        check_bool "demoted" true (Pmm.demote_mirror topo.pmm);
+        (* Written single-copy: the demoted mirror still holds 'm'. *)
+        Test_util.check_result_ok "single-copy write"
+          (Pm_client.write c h ~off:0 ~data:(Bytes.make 4096 's'));
+        rebuilding := true;
+        (* Reader: once the fence has refreshed the handle, a 100x
+           primary would hedge to the mirror if it were readable. *)
+        ignore
+          (Sim.spawn topo.sim ~name:"reader" (fun () ->
+               Test_util.check_result_ok "refresh"
+                 (Pm_client.write c h ~off:8192 ~data:(Bytes.make 512 'r'));
+               let fired = Pm_client.hedged_reads_fired c in
+               Npmu.degrade topo.npmu_a ~factor:100.0 ();
+               for _ = 1 to 4 do
+                 let data = ok ~msg:"read" (Pm_client.read c h ~off:0 ~len:512) in
+                 during := (!rebuilding, Bytes.to_string data) :: !during
+               done;
+               Npmu.restore_speed topo.npmu_a;
+               hedges_during := Pm_client.hedged_reads_fired c - fired));
+        (* Writer: appends across every chunk of the region while the
+           copy runs. *)
+        ignore
+          (Sim.spawn topo.sim ~name:"writer" (fun () ->
+               let off = ref 16384 in
+               while !rebuilding do
+                 let data = Bytes.make 512 (Char.chr (97 + (!appends mod 26))) in
+                 Test_util.check_result_ok "append" (Pm_client.write c h ~off:!off ~data);
+                 incr appends;
+                 off := (!off + 4096) mod (256 * 1024);
+                 if !off < 16384 then off := 16384;
+                 Sim.sleep (Time.us 300)
+               done));
+        let readmitted = Pmm.readmit_mirror topo.pmm in
+        rebuilding := false;
+        (* Whole again: the same slow primary now hedges to the mirror. *)
+        Test_util.check_result_ok "refresh"
+          (Pm_client.write c h ~off:8192 ~data:(Bytes.make 512 'r'));
+        let fired = Pm_client.hedged_reads_fired c in
+        Npmu.degrade topo.npmu_a ~factor:100.0 ();
+        Test_util.check_result_ok "read" (Pm_client.read c h ~off:0 ~len:512);
+        Npmu.restore_speed topo.npmu_a;
+        check_bool "control: a readable mirror is hedged to" true
+          (Pm_client.hedged_reads_fired c > fired);
+        readmitted)
+  in
+  check_bool "re-admitted" true readmitted;
+  check_int "counted" 1 (Pmm.readmissions topo.pmm);
+  check_bool "mirror active" true (Pmm.mirror_active topo.pmm);
+  check_bool "appends landed mid-copy" true (!appends >= 4);
+  check_bool "reads ran mid-copy" true
+    (List.length !during = 4 && List.for_all fst !during);
+  List.iter
+    (fun (_, data) -> Alcotest.(check string) "primary bytes" (String.make 512 's') data)
+    !during;
+  check_int "no hedge while rebuilding" 0 !hedges_during;
+  Alcotest.(check (list (pair int int))) "pair identical" [] (Pmm.divergent_chunks topo.pmm)
+
+(* A chunk that never stops changing fails the copy: the mirror is
+   demoted again and writers carry on single-copy. *)
+let test_readmit_gives_up_on_hot_chunk () =
+  let topo = make_topo () in
+  let copying = ref true in
+  let readmitted =
+    Test_util.run_in topo.sim (fun () ->
+        let c = client topo 2 in
+        let h = opened ~msg:"create" (Pm_client.create_region c ~name:"hot" ~size:65536) in
+        check_bool "demoted" true (Pmm.demote_mirror topo.pmm);
+        ignore
+          (Sim.spawn topo.sim ~name:"hot-writer" (fun () ->
+               let n = ref 0 in
+               while !copying do
+                 incr n;
+                 Test_util.check_result_ok "hot write"
+                   (Pm_client.write c h ~off:0 ~data:(Bytes.of_string (Printf.sprintf "%08d" !n)))
+               done));
+        let readmitted = Pmm.readmit_mirror topo.pmm in
+        copying := false;
+        let before = Pm_client.single_copy_writes c in
+        Test_util.check_result_ok "write after the failed copy"
+          (Pm_client.write c h ~off:0 ~data:(Bytes.make 8 'x'));
+        check_bool "single-copy again" true (Pm_client.single_copy_writes c > before);
+        readmitted)
+  in
+  check_bool "copy gave up" false readmitted;
+  check_bool "demoted again" false (Pmm.mirror_active topo.pmm);
+  check_int "not counted" 0 (Pmm.readmissions topo.pmm)
+
 (* --- Fault-plan validation of the fail-slow actions --- *)
 
 let test_faultplan_rejects_bad_slow_events () =
@@ -289,47 +393,45 @@ let test_faultplan_rejects_bad_slow_events () =
   reject "rail out of range" (Tp.Faultplan.Slow_rail { rail = 99; factor = 2.0 });
   reject "negative jitter"
     (Tp.Faultplan.Slow_disk { volume = 0; factor = 2.0; jitter = -1 });
-  match Tp.Faultplan.validate system Tp.Drill.gray_plan with
+  let gray = Test_util.drill_scenario (Tp.Drill.Node Tp.System.Pm_audit) "grayfail" in
+  match Tp.Faultplan.validate system gray.Tp.Drill.plan with
   | Ok () -> ()
   | Error e -> Alcotest.fail ("gray plan rejected: " ^ e))
 
 (* --- The gray-failure drill --- *)
 
-let test_gray_drill_defended () =
-  let run () =
-    match Tp.Drill.run_gray () with
-    | Error e -> Alcotest.fail ("gray drill failed: " ^ e)
-    | Ok g -> g
+let gray_drill ?defenses () =
+  let r =
+    Test_util.drill_report
+      (Test_util.drill_scenario ?defenses ~seed:0x66A7L (Tp.Drill.Node Tp.System.Pm_audit)
+         "grayfail")
   in
-  let g = run () in
-  check_int "zero acked rows lost (healthy)" 0 g.Tp.Drill.g_healthy.Tp.Drill.lost_rows;
-  check_int "zero acked rows lost (degraded)" 0 g.Tp.Drill.g_degraded.Tp.Drill.lost_rows;
-  check_bool "p99 bounded" true (g.Tp.Drill.g_p99_ratio <= g.Tp.Drill.g_p99_limit);
-  check_bool "demoted" true (g.Tp.Drill.g_demotions >= 1);
-  check_bool "re-admitted" true (g.Tp.Drill.g_readmissions >= 1);
-  check_bool "mirror active at the end" true g.Tp.Drill.g_mirror_active;
-  check_bool "client noticed" true (g.Tp.Drill.g_slow_suspects >= 1);
-  check_bool "degraded durability used" true (g.Tp.Drill.g_single_copy_writes >= 1);
-  check_bool "gate bundle" true (Tp.Drill.gray_pass g);
+  (r, Option.get r.Tp.Drill.mitigation, Option.get (Tp.Drill.p99_ratio r))
+
+let test_gray_drill_defended () =
+  let g, m, ratio = gray_drill () in
+  check_int "zero acked rows lost (healthy)" 0
+    (Option.get g.Tp.Drill.baseline).Tp.Drill.lost_rows;
+  check_int "zero acked rows lost (degraded)" 0 g.Tp.Drill.lost_rows;
+  check_bool "p99 bounded" true (ratio <= Tp.Drill.p99_limit);
+  check_bool "demoted" true (m.Tp.Drill.demotions >= 1);
+  check_bool "re-admitted" true (m.Tp.Drill.readmissions >= 1);
+  check_bool "mirror active at the end" true m.Tp.Drill.mirror_active;
+  check_bool "client noticed" true (m.Tp.Drill.slow_suspects >= 1);
+  check_bool "degraded durability used" true (m.Tp.Drill.single_copy_writes >= 1);
+  check_bool "gate bundle" true (Test_util.drill_pass g);
   (* Bit-determinism: the same seed replays to the same report. *)
-  let g2 = run () in
+  let g2, m2, ratio2 = gray_drill () in
   check_bool "same seed, same drill" true
-    ( g.Tp.Drill.g_p99_ratio = g2.Tp.Drill.g_p99_ratio
-    && g.Tp.Drill.g_demotions = g2.Tp.Drill.g_demotions
-    && g.Tp.Drill.g_monitor_probes = g2.Tp.Drill.g_monitor_probes
-    && g.Tp.Drill.g_degraded.Tp.Drill.elapsed = g2.Tp.Drill.g_degraded.Tp.Drill.elapsed
-    && g.Tp.Drill.g_single_copy_writes = g2.Tp.Drill.g_single_copy_writes )
+    (ratio = ratio2 && m = m2 && g.Tp.Drill.elapsed = g2.Tp.Drill.elapsed)
 
 let test_gray_drill_negative_control () =
-  match Tp.Drill.run_gray ~defenses:false () with
-  | Error e -> Alcotest.fail ("negative control failed to run: " ^ e)
-  | Ok g ->
-      check_int "still zero loss" 0 g.Tp.Drill.g_degraded.Tp.Drill.lost_rows;
-      check_bool "latency collapses past the gate" true
-        (g.Tp.Drill.g_p99_ratio > g.Tp.Drill.g_p99_limit);
-      check_int "no monitor ran" 0 g.Tp.Drill.g_monitor_probes;
-      check_int "no demotion" 0 g.Tp.Drill.g_demotions;
-      check_bool "gate violated" true (not (Tp.Drill.gray_pass g))
+  let g, m, ratio = gray_drill ~defenses:false () in
+  check_int "still zero loss" 0 g.Tp.Drill.lost_rows;
+  check_bool "latency collapses past the gate" true (ratio > Tp.Drill.p99_limit);
+  check_int "no monitor ran" 0 m.Tp.Drill.monitor_probes;
+  check_int "no demotion" 0 m.Tp.Drill.demotions;
+  check_bool "gate violated" true (not (Test_util.drill_pass g))
 
 let suite =
   [
@@ -363,6 +465,10 @@ let suite =
           test_monitor_demotes_and_readmits;
         Alcotest.test_case "manual demotion is idempotent" `Quick
           test_demote_mirror_is_idempotent;
+        Alcotest.test_case "re-admission under a live writer" `Quick
+          test_readmit_under_live_writer;
+        Alcotest.test_case "re-admission gives up on a hot chunk" `Quick
+          test_readmit_gives_up_on_hot_chunk;
       ] );
     ( "grayfail.drill",
       [

@@ -386,6 +386,10 @@ let test_faultplan_rejects_pm_faults_on_disk () =
 
 (* --- The corruption drill --- *)
 
+let corruption_drill ?defenses ~seed () =
+  Test_util.drill_report
+    (Test_util.drill_scenario ?defenses ~seed (Tp.Drill.Node Tp.System.Pm_audit) "corruption")
+
 let drill_integrity r =
   match r.Tp.Drill.integrity with
   | Some i -> i
@@ -395,44 +399,37 @@ let test_corruption_drill_defended () =
   (* Two seeds: the gates must hold on each, not by luck on one. *)
   List.iter
     (fun seed ->
-      match Tp.Drill.run_corruption ~seed () with
-      | Error e -> Alcotest.fail ("corruption drill failed: " ^ e)
-      | Ok r ->
-          let i = drill_integrity r in
-          check_int "zero acked rows lost" 0 r.Tp.Drill.lost_rows;
-          check_int "zero unrepaired divergence" 0 i.Tp.Drill.unrepaired_divergence;
-          check_bool "scrubber repaired at least one decay" true
-            (i.Tp.Drill.scrub_repairs >= 1);
-          check_bool "a verified read repaired at least one decay" true
-            (i.Tp.Drill.read_repairs >= 1);
-          check_bool "invariant bundle" true (Tp.Drill.integrity_clean r))
+      let r = corruption_drill ~seed () in
+      let i = drill_integrity r in
+      check_int "zero acked rows lost" 0 r.Tp.Drill.lost_rows;
+      check_int "zero unrepaired divergence" 0 i.Tp.Drill.unrepaired_divergence;
+      check_bool "scrubber repaired at least one decay" true (i.Tp.Drill.scrub_repairs >= 1);
+      check_bool "a verified read repaired at least one decay" true
+        (i.Tp.Drill.read_repairs >= 1);
+      check_bool "invariant bundle" true (Test_util.drill_pass r))
     [ 0xD5177L; 42L ]
 
 let test_corruption_drill_deterministic () =
   let run () =
-    match Tp.Drill.run_corruption ~seed:7L () with
-    | Error e -> Alcotest.fail ("corruption drill failed: " ^ e)
-    | Ok r ->
-        let i = drill_integrity r in
-        ( r.Tp.Drill.elapsed,
-          r.Tp.Drill.acked_rows,
-          r.Tp.Drill.lost_rows,
-          i.Tp.Drill.scrub_repairs,
-          i.Tp.Drill.scrub_quarantined,
-          i.Tp.Drill.read_repairs,
-          i.Tp.Drill.unrepaired_divergence )
+    let r = corruption_drill ~seed:7L () in
+    let i = drill_integrity r in
+    ( r.Tp.Drill.elapsed,
+      r.Tp.Drill.acked_rows,
+      r.Tp.Drill.lost_rows,
+      i.Tp.Drill.scrub_repairs,
+      i.Tp.Drill.scrub_quarantined,
+      i.Tp.Drill.read_repairs,
+      i.Tp.Drill.unrepaired_divergence )
   in
   check_bool "same seed, same report" true (run () = run ())
 
 let test_corruption_drill_negative_control () =
-  match Tp.Drill.run_corruption ~seed:0xD5177L ~defenses:false () with
-  | Error e -> Alcotest.fail ("negative control failed to run: " ^ e)
-  | Ok r ->
-      let i = drill_integrity r in
-      check_bool "undefended run loses acked rows" true (r.Tp.Drill.lost_rows > 0);
-      check_bool "divergence left behind" true (i.Tp.Drill.unrepaired_divergence > 0);
-      check_int "no scrubber ran" 0 i.Tp.Drill.scrub_chunks;
-      check_bool "invariant violated" true (not (Tp.Drill.integrity_clean r))
+  let r = corruption_drill ~seed:0xD5177L ~defenses:false () in
+  let i = drill_integrity r in
+  check_bool "undefended run loses acked rows" true (r.Tp.Drill.lost_rows > 0);
+  check_bool "divergence left behind" true (i.Tp.Drill.unrepaired_divergence > 0);
+  check_int "no scrubber ran" 0 i.Tp.Drill.scrub_chunks;
+  check_bool "invariant violated" true (not (Test_util.drill_pass r))
 
 let suite =
   [

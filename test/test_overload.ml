@@ -96,7 +96,7 @@ let test_flash_crowd_overload_only () =
             (fun name ->
               check_bool (Printf.sprintf "error lists plan '%s'" name) true
                 (contains e name))
-            (Tp.Drill.plan_names Tp.System.Pm_audit));
+            (Tp.Drill.plan_names (Tp.Drill.Node Tp.System.Pm_audit)));
       (match Tp.Faultplan.validate_overload system plan with
       | Ok () -> ()
       | Error e -> Alcotest.fail ("overload scope rejected the marker: " ^ e));
@@ -118,60 +118,58 @@ let test_flash_crowd_overload_only () =
 let test_overload_plan_validates () =
   let sim = Sim.create ~seed:0x12L () in
   Test_util.run_in sim (fun () ->
-      let system = Tp.System.build sim Tp.Drill.overload_config in
-      match
-        Tp.Faultplan.validate_overload system
-          (Tp.Drill.overload_plan Tp.Drill.overload_params)
-      with
+      let s = Test_util.drill_scenario (Tp.Drill.Node Tp.System.Pm_audit) "overload" in
+      let system = Tp.System.build sim s.Tp.Drill.config in
+      match Tp.Faultplan.validate_overload system s.Tp.Drill.plan with
       | Ok () -> ()
       | Error e -> Alcotest.fail ("overload plan rejected: " ^ e))
 
 (* --- The end-to-end drill --- *)
 
 let run_drill ?seed ?defenses () =
-  match Tp.Drill.run_overload ?seed ?defenses () with
-  | Error e -> Alcotest.fail ("overload drill failed to run: " ^ e)
-  | Ok r -> r
+  let r =
+    Test_util.drill_report
+      (Test_util.drill_scenario ?defenses ?seed (Tp.Drill.Node Tp.System.Pm_audit) "overload")
+  in
+  (r, Option.get r.Tp.Drill.goodput)
 
 let test_overload_drill_defended () =
-  let r = run_drill () in
-  check_int "zero acked rows lost" 0 r.Tp.Drill.v_lost_rows;
-  check_bool "admission actually fired" true (r.Tp.Drill.v_rejected > 0);
+  let p = Tp.Drill.overload_params in
+  let r, g = run_drill () in
+  check_int "zero acked rows lost" 0 r.Tp.Drill.lost_rows;
+  check_bool "admission actually fired" true (g.Tp.Drill.rejected > 0);
   check_bool "spike goodput above the floor" true
-    (r.Tp.Drill.v_spike_goodput
-    >= r.Tp.Drill.v_spike_floor *. r.Tp.Drill.v_warmup_goodput);
-  (match r.Tp.Drill.v_recovery_time with
-  | Some t -> check_bool "recovery within the bound" true (t <= r.Tp.Drill.v_recovery_limit)
+    (g.Tp.Drill.spike_tps >= p.Tp.Drill.ov_spike_floor *. g.Tp.Drill.warmup_tps);
+  (match g.Tp.Drill.recovery_time with
+  | Some t -> check_bool "recovery within the bound" true (t <= p.Tp.Drill.ov_recovery_limit)
   | None -> Alcotest.fail "defended run never recovered");
-  check_bool "gate bundle" true (Tp.Drill.overload_pass r);
+  check_bool "gate bundle" true (Test_util.drill_pass r);
   (* Bit-determinism: the same seed replays to the same report,
      including the whole goodput-over-time series. *)
-  let r2 = run_drill () in
-  check_int "same arrivals" r.Tp.Drill.v_arrivals r2.Tp.Drill.v_arrivals;
-  check_int "same commits" r.Tp.Drill.v_committed r2.Tp.Drill.v_committed;
-  check_int "same rejections" r.Tp.Drill.v_rejected r2.Tp.Drill.v_rejected;
-  check_int "same timeouts" r.Tp.Drill.v_timeouts r2.Tp.Drill.v_timeouts;
-  check_bool "same goodput series" true (r.Tp.Drill.v_goodput = r2.Tp.Drill.v_goodput);
-  check_bool "same recovery time" true
-    (r.Tp.Drill.v_recovery_time = r2.Tp.Drill.v_recovery_time)
+  let r2, g2 = run_drill () in
+  check_int "same arrivals" r.Tp.Drill.attempted_txns r2.Tp.Drill.attempted_txns;
+  check_int "same commits" r.Tp.Drill.committed r2.Tp.Drill.committed;
+  check_int "same rejections" g.Tp.Drill.rejected g2.Tp.Drill.rejected;
+  check_int "same timeouts" g.Tp.Drill.timeouts g2.Tp.Drill.timeouts;
+  check_bool "same goodput series" true (g.Tp.Drill.windows = g2.Tp.Drill.windows);
+  check_bool "same recovery time" true (g.Tp.Drill.recovery_time = g2.Tp.Drill.recovery_time)
 
 let test_overload_drill_negative_control () =
-  let r = run_drill ~defenses:false () in
-  check_bool "gate fails undefended" false (Tp.Drill.overload_pass r);
-  check_bool "stayed collapsed under base load" true
-    (r.Tp.Drill.v_recovery_time = None);
-  check_int "nothing was rejected (no admission)" 0 r.Tp.Drill.v_rejected;
-  check_bool "the storm showed up as timeouts" true (r.Tp.Drill.v_timeouts > 0);
+  let r, g = run_drill ~defenses:false () in
+  check_bool "gate fails undefended" false (Test_util.drill_pass r);
+  check_bool "stayed collapsed under base load" true (g.Tp.Drill.recovery_time = None);
+  check_int "nothing was rejected (no admission)" 0 g.Tp.Drill.rejected;
+  check_bool "the storm showed up as timeouts" true (g.Tp.Drill.timeouts > 0);
   (* Rejected is backpressure, lost is betrayal: even collapsed, every
      acknowledged row must survive the crash. *)
-  check_int "still zero acked rows lost" 0 r.Tp.Drill.v_lost_rows
+  check_int "still zero acked rows lost" 0 r.Tp.Drill.lost_rows
 
 let test_overload_drill_second_seed () =
   let seed = 0xBEEF1L in
-  let d = run_drill ~seed () in
-  check_bool "defended passes on a second seed" true (Tp.Drill.overload_pass d);
-  let u = run_drill ~seed ~defenses:false () in
-  check_bool "negative control fails on a second seed" false (Tp.Drill.overload_pass u)
+  let d, _ = run_drill ~seed () in
+  check_bool "defended passes on a second seed" true (Test_util.drill_pass d);
+  let u, _ = run_drill ~seed ~defenses:false () in
+  check_bool "negative control fails on a second seed" false (Test_util.drill_pass u)
 
 let suite =
   [

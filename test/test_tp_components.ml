@@ -731,14 +731,16 @@ let suite = suite @ [ ("tp.dtx", dtx_cases) ]
    fixed, so a failure here replays bit-for-bit. *)
 
 let run_drill ?(seed = 0xD211L) ~mode plan =
-  match Drill.run ~seed ~mode ~plan () with
-  | Ok report -> report
-  | Error e -> Alcotest.fail ("drill: " ^ e)
+  Test_util.drill_report
+    { (Test_util.drill_scenario ~seed (Drill.Node mode) "none") with Drill.plan }
+
+let custom_drill mode plan =
+  Drill.run { (Test_util.drill_scenario (Drill.Node mode) "none") with Drill.plan }
 
 let assert_zero_loss r =
   check_bool
     (Printf.sprintf "zero loss (%d acked rows, %d lost)" r.Drill.acked_rows r.Drill.lost_rows)
-    true (Drill.zero_loss r);
+    true (r.Drill.lost_rows = 0);
   check_bool
     (Printf.sprintf "made progress (%d committed)" r.Drill.committed)
     true
@@ -787,11 +789,11 @@ let test_drill_pmm_kill () =
   assert_zero_loss r;
   check_int "PMM takeover" 1 r.Drill.availability.Drill.pmm_takeovers;
   check_bool "recovery read outcomes from PM" true
-    (r.Drill.recovery.Recovery.outcome_source = Recovery.Pm_txn_table)
+    ((List.hd r.Drill.recoveries).Recovery.outcome_source = Recovery.Pm_txn_table)
 
 let test_drill_standard_pm_deterministic () =
   (* The full standard schedule, twice with one seed: identical reports. *)
-  let plan = Drill.standard_plan System.Pm_audit in
+  let plan = (Test_util.drill_scenario (Drill.Node System.Pm_audit) "standard").Drill.plan in
   let a = run_drill ~mode:System.Pm_audit plan in
   let b = run_drill ~mode:System.Pm_audit plan in
   assert_zero_loss a;
@@ -806,14 +808,10 @@ let test_drill_standard_pm_deterministic () =
 let test_drill_plan_validation () =
   (* PM-only events are rejected against a disk-mode system, out-of-range
      targets against any. *)
-  (match
-     Drill.run ~mode:System.Disk_audit ~plan:Faultplan.[ at 0 (Kill_primary Pmm) ] ()
-   with
+  (match custom_drill System.Disk_audit Faultplan.[ at 0 (Kill_primary Pmm) ] with
   | Error e -> check_bool "pm-only rejected" true (String.length e > 0)
   | Ok _ -> Alcotest.fail "kill_pmm accepted in disk mode");
-  match
-    Drill.run ~mode:System.Disk_audit ~plan:Faultplan.[ at 0 (Kill_primary (Adp 99)) ] ()
-  with
+  match custom_drill System.Disk_audit Faultplan.[ at 0 (Kill_primary (Adp 99)) ] with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "out-of-range ADP accepted"
 
@@ -988,31 +986,34 @@ let test_faultplan_resync_fails_across_power_cycle () =
 
 let test_partition_plan_validation () =
   (* WAN events need a cluster-scoped launch; the fence probe needs PM. *)
-  (match Drill.run ~mode:System.Pm_audit ~plan:Faultplan.[ at 0 Wan_partition ] () with
+  (match custom_drill System.Pm_audit Faultplan.[ at 0 Wan_partition ] with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "wan_partition accepted outside a cluster");
-  match Drill.run ~mode:System.Disk_audit ~plan:Faultplan.[ at 0 Fence_check ] () with
+  match custom_drill System.Disk_audit Faultplan.[ at 0 Fence_check ] with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "fence_check accepted in disk mode"
 
 let test_cluster_partition_drill_seeds () =
   List.iter
     (fun seed ->
-      match Drill.run_cluster ~seed ~plan:Drill.partition_plan () with
+      match Drill.run (Test_util.drill_scenario ~seed Drill.Cluster "partition") with
       | Error e -> Alcotest.fail (Printf.sprintf "drill seed 0x%Lx: %s" seed e)
       | Ok r ->
           check_bool
-            (Printf.sprintf
-               "seed 0x%Lx invariants (lost=%d in-doubt=%d locks=%d fence-failures=%d)"
-               seed r.Drill.c_lost_rows r.Drill.c_in_doubt_after r.Drill.c_orphaned_locks
-               r.Drill.c_fence_failures)
-            true (Drill.cluster_zero_loss r);
-          check_bool "made progress" true (r.Drill.c_committed > 0);
-          check_bool "partition stranded branches" true (r.Drill.c_in_doubt_before > 0);
-          check_int "every stranded branch resolved" r.Drill.c_in_doubt_before
-            (r.Drill.c_resolved_commit + r.Drill.c_resolved_abort);
-          check_int "fence probed" 1 r.Drill.c_fence_checks;
-          check_bool "stale writes fenced" true (r.Drill.c_fenced_writes > 0))
+            (Printf.sprintf "seed 0x%Lx invariants: %s" seed
+               (Drill.Oracle.summary (Drill.Oracle.of_report r)))
+            true (Test_util.drill_pass r);
+          let p = Option.get r.Drill.partition in
+          let resolved =
+            List.fold_left
+              (fun acc x -> acc + x.Recovery.resolved_commit + x.Recovery.resolved_abort)
+              0 r.Drill.recoveries
+          in
+          check_bool "made progress" true (r.Drill.committed > 0);
+          check_bool "partition stranded branches" true (p.Drill.in_doubt_before > 0);
+          check_int "every stranded branch resolved" p.Drill.in_doubt_before resolved;
+          check_int "fence probed" 1 r.Drill.fence_checks;
+          check_bool "stale writes fenced" true (p.Drill.fenced_writes > 0))
     [ 0x7L; 0x2AL; 0xBEEFL ]
 
 let partition_cases =

@@ -33,3 +33,23 @@ let bytes_of_string = Bytes.of_string
 let check_result_ok msg = function
   | Ok _ -> ()
   | Error _ -> Alcotest.fail msg
+
+(* A named drill scenario (see [Tp.Drill.scenario]), optionally
+   re-seeded; an unknown name fails the test. *)
+let drill_scenario ?defenses ?seed platform name =
+  match Tp.Drill.scenario ?defenses platform name with
+  | Error e -> Alcotest.fail ("drill scenario: " ^ e)
+  | Ok s -> ( match seed with Some seed -> { s with Tp.Drill.seed } | None -> s)
+
+let drill_report s =
+  match Tp.Drill.run s with
+  | Ok r -> r
+  | Error e -> Alcotest.fail ("drill " ^ s.Tp.Drill.name ^ ": " ^ e)
+
+let drill_pass r = Tp.Drill.Oracle.pass (Tp.Drill.Oracle.of_report r)
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
