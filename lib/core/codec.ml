@@ -29,7 +29,14 @@ module Enc = struct
 
   let raw t b = Buffer.add_bytes t b
 
-  let pad t n = for _ = 1 to n do Buffer.add_char t '\000' done
+  let zeros = String.make 4096 '\000'
+
+  let rec pad t n =
+    if n > 0 then begin
+      let k = min n (String.length zeros) in
+      Buffer.add_substring t zeros 0 k;
+      pad t (n - k)
+    end
 
   let length t = Buffer.length t
 

@@ -2,7 +2,7 @@ type t = {
   npmu_name : string;
   npmu_sim : Simkit.Sim.t;
   capacity : int;
-  mem : Bytes.t;
+  mem : Servernet.Page_store.t;
   ep : Servernet.Fabric.endpoint;
   mutable powered : bool;
   mutable st_power_cycles : int;
@@ -18,7 +18,7 @@ type t = {
 
 let create sim fabric ~name ~capacity =
   if capacity <= 0 then invalid_arg "Npmu.create: capacity must be positive";
-  let mem = Bytes.make capacity '\000' in
+  let mem = Servernet.Page_store.create capacity in
   let st_writes = ref 0 and st_reads = ref 0 and st_bytes_written = ref 0 in
   let last_write = ref None in
   let store =
@@ -27,13 +27,13 @@ let create sim fabric ~name ~capacity =
       read =
         (fun ~off ~len ->
           incr st_reads;
-          Bytes.sub mem off len);
+          Servernet.Page_store.read mem ~off ~len);
       write =
         (fun ~off ~data ->
           incr st_writes;
           st_bytes_written := !st_bytes_written + Bytes.length data;
           last_write := Some (off, Bytes.length data);
-          Bytes.blit data 0 mem off (Bytes.length data));
+          Servernet.Page_store.write mem ~off ~data);
     }
   in
   let ep = Servernet.Fabric.attach fabric ~name ~store in
@@ -99,12 +99,12 @@ let power_restore t =
 
 let peek t ~off ~len =
   if off < 0 || len < 0 || off + len > t.capacity then invalid_arg "Npmu.peek: out of range";
-  Bytes.sub t.mem off len
+  Servernet.Page_store.read t.mem ~off ~len
 
 let poke t ~off ~data =
   let len = Bytes.length data in
   if off < 0 || off + len > t.capacity then invalid_arg "Npmu.poke: out of range";
-  Bytes.blit data 0 t.mem off len
+  Servernet.Page_store.write t.mem ~off ~data
 
 let decay t ~off ~bits =
   if bits <= 0 then invalid_arg "Npmu.decay: bits must be positive";
@@ -112,8 +112,8 @@ let decay t ~off ~bits =
   if off < 0 || off + span > t.capacity then invalid_arg "Npmu.decay: out of range";
   for i = 0 to bits - 1 do
     let byte = off + (i / 8) and bit = i mod 8 in
-    let v = Char.code (Bytes.get t.mem byte) in
-    Bytes.set t.mem byte (Char.chr (v lxor (1 lsl bit)))
+    let v = Char.code (Servernet.Page_store.get t.mem byte) in
+    Servernet.Page_store.set t.mem byte (Char.chr (v lxor (1 lsl bit)))
   done;
   t.st_decay_events <- t.st_decay_events + 1;
   t.st_bits_flipped <- t.st_bits_flipped + bits
@@ -133,8 +133,8 @@ let tear_last_write t =
       let tear_off = off + (len / 2) in
       let tear_len = len - (len / 2) in
       for i = tear_off to tear_off + tear_len - 1 do
-        let v = Char.code (Bytes.get t.mem i) in
-        Bytes.set t.mem i (Char.chr (v lxor 0x5A))
+        let v = Char.code (Servernet.Page_store.get t.mem i) in
+        Servernet.Page_store.set t.mem i (Char.chr (v lxor 0x5A))
       done;
       t.st_torn_writes <- t.st_torn_writes + 1;
       Some (tear_off, tear_len)

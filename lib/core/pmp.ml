@@ -4,35 +4,36 @@ open Nsk
 type t = {
   pmp_name : string;
   capacity : int;
-  mem : Bytes.t;
+  mem : Servernet.Page_store.t;
   ep : Servernet.Fabric.endpoint;
   host : Cpu.t;
   mutable alive : bool;
 }
 
+(* DRAM-hosted: losing power or the hosting CPU drops every page. *)
+let power_loss t =
+  if t.alive then begin
+    t.alive <- false;
+    Servernet.Fabric.set_alive t.ep false;
+    Servernet.Page_store.clear t.mem
+  end
+
 let create cpu fabric ~name ~capacity =
   if capacity <= 0 then invalid_arg "Pmp.create: capacity must be positive";
-  let mem = Bytes.make capacity '\000' in
+  let mem = Servernet.Page_store.create capacity in
   let store =
     {
       Servernet.Fabric.size = capacity;
-      read = (fun ~off ~len -> Bytes.sub mem off len);
-      write = (fun ~off ~data -> Bytes.blit data 0 mem off (Bytes.length data));
+      read = Servernet.Page_store.read mem;
+      write = Servernet.Page_store.write mem;
     }
   in
   let ep = Servernet.Fabric.attach fabric ~name ~store in
   let t = { pmp_name = name; capacity; mem; ep; host = cpu; alive = true } in
-  let die () =
-    if t.alive then begin
-      t.alive <- false;
-      Servernet.Fabric.set_alive t.ep false;
-      Bytes.fill t.mem 0 t.capacity '\000'
-    end
-  in
   (* The hosting process only pins the memory; data moves by RDMA without
      any PMP CPU involvement, exactly as the paper stresses. *)
   let pid = Cpu.spawn cpu ~name (fun () -> ignore (Mailbox.recv (Mailbox.create () : unit Mailbox.t))) in
-  Sim.on_exit (Cpu.sim cpu) pid (fun _ -> die ());
+  Sim.on_exit (Cpu.sim cpu) pid (fun _ -> power_loss t);
   t
 
 let name t = t.pmp_name
@@ -49,18 +50,11 @@ let is_alive t = t.alive
 
 let fenced_writes t = Servernet.Avt.fenced (Servernet.Fabric.avt t.ep)
 
-let power_loss t =
-  if t.alive then begin
-    t.alive <- false;
-    Servernet.Fabric.set_alive t.ep false;
-    Bytes.fill t.mem 0 t.capacity '\000'
-  end
-
 let peek t ~off ~len =
   if off < 0 || len < 0 || off + len > t.capacity then invalid_arg "Pmp.peek: out of range";
-  Bytes.sub t.mem off len
+  Servernet.Page_store.read t.mem ~off ~len
 
 let poke t ~off ~data =
   let len = Bytes.length data in
   if off < 0 || off + len > t.capacity then invalid_arg "Pmp.poke: out of range";
-  Bytes.blit data 0 t.mem off len
+  Servernet.Page_store.write t.mem ~off ~data

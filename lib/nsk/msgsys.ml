@@ -75,7 +75,16 @@ let server_name s = s.name
 
 let server_cpu s = s.cpu
 
-let forget s iv = s.outstanding <- List.filter (fun i -> i != iv) s.outstanding
+(* [outstanding] holds exactly the delivered calls not yet answered:
+   each reply drops every filled ivar (keeping the order
+   [fail_outstanding] fails them in), so the set stays bounded by the
+   calls in flight even when callers of [call_async] never [forget]. *)
+let prune s = s.outstanding <- List.filter (fun iv -> not (Ivar.is_filled iv)) s.outstanding
+
+let forget s iv =
+  if not (Ivar.is_filled iv) then s.outstanding <- List.filter (fun i -> i != iv) s.outstanding
+
+let outstanding s = List.length s.outstanding
 
 let call_async s ~from ?(req_bytes = 256) ?(resp_bytes = 256) ?span payload =
   let reply = Ivar.create () in
@@ -118,8 +127,9 @@ let caller_span s = s.last_span
 
 let caller_wait s = s.last_wait
 
-let next_request s =
-  let env = Mailbox.recv s.inbox in
+(* Accept a dequeued envelope: returns its payload and the closure that
+   answers it. *)
+let accept s env =
   probe_dequeue s;
   s.last_span <- env.env_span;
   s.last_wait <- Sim.now (Cpu.sim s.cpu) - env.env_sent;
@@ -131,31 +141,16 @@ let next_request s =
         Servernet.Fabric.transfer_time s.fabric ~bytes:env.resp_bytes + s.extra_latency
       in
       note_hop s dt;
-      let sim = Cpu.sim s.cpu in
-      Sim.at sim ~after:dt (fun () -> ignore (Ivar.try_fill env.reply (Ok resp)))
+      Sim.at (Cpu.sim s.cpu) ~after:dt (fun () ->
+          if Ivar.try_fill env.reply (Ok resp) then prune s)
     end
   in
   (env.payload, respond)
 
+let next_request s = accept s (Mailbox.recv s.inbox)
+
 let next_request_timeout s span =
-  match Mailbox.recv_timeout s.inbox span with
-  | None -> None
-  | Some env ->
-      probe_dequeue s;
-      s.last_span <- env.env_span;
-      s.last_wait <- Sim.now (Cpu.sim s.cpu) - env.env_sent;
-      let epoch = s.epoch in
-      let respond resp =
-        if s.epoch = epoch then begin
-          let dt =
-            Servernet.Fabric.transfer_time s.fabric ~bytes:env.resp_bytes + s.extra_latency
-          in
-          note_hop s dt;
-          let sim = Cpu.sim s.cpu in
-          Sim.at sim ~after:dt (fun () -> ignore (Ivar.try_fill env.reply (Ok resp)))
-        end
-      in
-      Some (env.payload, respond)
+  Option.map (accept s) (Mailbox.recv_timeout s.inbox span)
 
 let pending s = Mailbox.length s.inbox
 

@@ -79,6 +79,12 @@ val next_request_timeout :
 
 val pending : ('req, 'resp) server -> int
 
+val outstanding : ('req, 'resp) server -> int
+(** Calls delivered to the server and not yet answered or failed.  A
+    call leaves this set when its reply arrives, even a {!call_async}
+    whose ivar nobody reads, so the set is bounded by the calls in
+    flight. *)
+
 val move : ('req, 'resp) server -> cpu:Cpu.t -> unit
 (** Relocate the port to another CPU (backup takeover).  Queued and
     outstanding calls fail with [Server_down]; callers retry and reach

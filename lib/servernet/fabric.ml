@@ -38,12 +38,8 @@ type store = {
 }
 
 let byte_store size =
-  let mem = Bytes.make size '\000' in
-  {
-    size;
-    read = (fun ~off ~len -> Bytes.sub mem off len);
-    write = (fun ~off ~data -> Bytes.blit data 0 mem off (Bytes.length data));
-  }
+  let mem = Page_store.create size in
+  { size; read = Page_store.read mem; write = Page_store.write mem }
 
 type endpoint = {
   ep_id : int;

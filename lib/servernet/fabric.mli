@@ -47,6 +47,8 @@ type store = {
 }
 
 val byte_store : int -> store
+(** A store over a fresh {!Page_store}: zeros until written, with host
+    memory only for the pages written. *)
 
 type t
 

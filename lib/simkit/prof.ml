@@ -38,6 +38,12 @@ let none = { s_wall = 0.; s_minor = 0.; s_major = 0.; s_events = -1. }
 
 let current : t option ref = ref None
 
+(* Minor words come from [Gc.minor_words], which is exact and allocation
+   free; the first component of [Gc.counters] read inside a dispatch
+   drifts with GC state under OCaml 5, so identical runs disagreed.
+   [Gc.counters] is read outside each minor-word window, so its own
+   allocation is not counted. *)
+
 let now_s () = Unix.gettimeofday ()
 
 let create () =
@@ -65,13 +71,14 @@ let install p sim =
   let before qdepth =
     (* [qdepth] excludes the event just popped; count it back in. *)
     if qdepth + 1 > p.heap_hwm then p.heap_hwm <- qdepth + 1;
-    let mi, _, ma = Gc.counters () in
+    let _, _, ma = Gc.counters () in
     p.marks.(0) <- now_s ();
-    p.marks.(1) <- mi;
+    p.marks.(1) <- Gc.minor_words ();
     p.marks.(2) <- ma
   in
   let after () =
-    let mi, _, ma = Gc.counters () in
+    let mi = Gc.minor_words () in
+    let _, _, ma = Gc.counters () in
     let tot = p.total in
     tot.a_wall <- tot.a_wall +. (now_s () -. p.marks.(0));
     tot.a_minor <- tot.a_minor +. (mi -. p.marks.(1));
@@ -99,8 +106,8 @@ let section_begin () =
   match !current with
   | None -> none
   | Some p ->
-      let mi, _, ma = Gc.counters () in
-      { s_wall = now_s (); s_minor = mi; s_major = ma; s_events = p.total.a_events }
+      let _, _, ma = Gc.counters () in
+      { s_wall = now_s (); s_minor = Gc.minor_words (); s_major = ma; s_events = p.total.a_events }
 
 let section_end s layer =
   if s != none then
@@ -114,7 +121,8 @@ let section_end s layer =
              sample but account the drop. *)
           a.a_discarded <- a.a_discarded +. 1.
         else begin
-          let mi, _, ma = Gc.counters () in
+          let mi = Gc.minor_words () in
+          let _, _, ma = Gc.counters () in
           a.a_events <- a.a_events +. 1.;
           a.a_wall <- a.a_wall +. (now_s () -. s.s_wall);
           a.a_minor <- a.a_minor +. (mi -. s.s_minor);

@@ -42,6 +42,24 @@ let prop_crc32_incremental =
       let st = Crc32.update st b ~pos:k ~len:(n - k) in
       Crc32.finish st = Crc32.bytes b)
 
+(* Bit-at-a-time CRC-32, straight from the polynomial: no table and no
+   code shared with [Crc32]. *)
+let crc32_reference s =
+  let crc = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      crc := !crc lxor Char.code ch;
+      for _ = 1 to 8 do
+        crc := if !crc land 1 = 1 then (!crc lsr 1) lxor 0xEDB88320 else !crc lsr 1
+      done)
+    s;
+  Int32.of_int (!crc lxor 0xFFFFFFFF)
+
+let prop_crc32_matches_reference =
+  QCheck.Test.make ~name:"crc32 == bitwise reference" ~count:300
+    QCheck.(string_of_size (Gen.int_range 0 300))
+    (fun s -> Crc32.string s = crc32_reference s)
+
 (* --- Topology (same shape as test_pm's) --- *)
 
 type topo = {
@@ -439,6 +457,7 @@ let suite =
         Alcotest.test_case "incremental matches one-shot" `Quick
           test_crc32_incremental_matches_oneshot;
         QCheck_alcotest.to_alcotest prop_crc32_incremental;
+        QCheck_alcotest.to_alcotest prop_crc32_matches_reference;
       ] );
     ( "integrity.injection",
       [

@@ -115,6 +115,71 @@ let test_rpc_fail_outstanding () =
   | Some (Error Msgsys.Server_down) -> ()
   | _ -> Alcotest.fail "client not released"
 
+(* Boxcarred inserts and group-commit flushes use [call_async] and never
+   forget their ivars; the server's outstanding set must still shrink
+   back as replies arrive instead of growing with the run. *)
+let test_async_replies_leave_outstanding () =
+  let sim, node = make_node () in
+  let server = Msgsys.create_server (Node.fabric node) ~cpu:(Node.cpu node 0) ~name:"echo" in
+  let batch = 4 and rounds = 250 in
+  let worst = ref 0 in
+  let (_ : Sim.pid) =
+    Cpu.spawn (Node.cpu node 0) ~name:"server" (fun () ->
+        while true do
+          let req, respond = Msgsys.next_request server in
+          worst := max !worst (Msgsys.outstanding server);
+          Cpu.execute (Node.cpu node 0) (Time.us 5);
+          respond req
+        done)
+  in
+  let answered = ref 0 in
+  let (_ : Sim.pid) =
+    Cpu.spawn (Node.cpu node 1) ~name:"client" (fun () ->
+        for r = 1 to rounds do
+          let replies =
+            List.init batch (fun i -> Msgsys.call_async server ~from:(Node.cpu node 1) (r + i))
+          in
+          List.iter
+            (fun iv -> match Ivar.read iv with Ok _ -> incr answered | Error _ -> ())
+            replies;
+          check_int "all answered calls left the set" 0 (Msgsys.outstanding server)
+        done)
+  in
+  Sim.run sim;
+  check_int "every call answered" (batch * rounds) !answered;
+  check_bool "bounded by the calls in flight" true (!worst <= batch);
+  check_int "empty at the end" 0 (Msgsys.outstanding server)
+
+let test_fail_outstanding_spares_answered () =
+  let sim, node = make_node () in
+  let server = Msgsys.create_server (Node.fabric node) ~cpu:(Node.cpu node 0) ~name:"half" in
+  (* Answers the first request only; the second stays in flight. *)
+  let (_ : Sim.pid) =
+    Cpu.spawn (Node.cpu node 0) ~name:"server" (fun () ->
+        let req, respond = Msgsys.next_request server in
+        respond (req * 2);
+        let (_ : int * (int -> unit)) = Msgsys.next_request server in
+        ())
+  in
+  let answered = ref (Ivar.create ()) and stuck = ref (Ivar.create ()) in
+  let (_ : Sim.pid) =
+    Cpu.spawn (Node.cpu node 1) ~name:"client" (fun () ->
+        answered := Msgsys.call_async server ~from:(Node.cpu node 1) 21;
+        ignore (Ivar.read !answered);
+        stuck := Msgsys.call_async server ~from:(Node.cpu node 1) 5)
+  in
+  Sim.at sim ~after:(Time.ms 5) (fun () ->
+      check_int "one call in flight" 1 (Msgsys.outstanding server);
+      Msgsys.fail_outstanding server);
+  Sim.run sim;
+  (match Ivar.peek !answered with
+  | Some (Ok 42) -> ()
+  | _ -> Alcotest.fail "answered call changed");
+  (match Ivar.peek !stuck with
+  | Some (Error Msgsys.Server_down) -> ()
+  | _ -> Alcotest.fail "in-flight call not failed");
+  check_int "set empty" 0 (Msgsys.outstanding server)
+
 let test_rpc_timeout () =
   let sim, node = make_node () in
   let server = Msgsys.create_server (Node.fabric node) ~cpu:(Node.cpu node 0) ~name:"mute" in
@@ -242,6 +307,10 @@ let suite =
         Alcotest.test_case "dead server reported" `Quick test_rpc_server_down;
         Alcotest.test_case "fail_outstanding releases callers" `Quick test_rpc_fail_outstanding;
         Alcotest.test_case "call timeout" `Quick test_rpc_timeout;
+        Alcotest.test_case "async replies leave the outstanding set" `Quick
+          test_async_replies_leave_outstanding;
+        Alcotest.test_case "fail_outstanding spares answered calls" `Quick
+          test_fail_outstanding_spares_answered;
       ] );
     ( "nsk.procpair",
       [

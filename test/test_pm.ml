@@ -118,6 +118,76 @@ let test_pmp_loses_contents () =
       check_bool "dead" false (Pmp.is_alive pmp);
       check_str "contents gone" (String.make 8 '\000') (Bytes.to_string (Pmp.peek pmp ~off:0 ~len:8)))
 
+(* Device memory is sparse: faults injected on a page nobody wrote must
+   still land, and a power loss on the DRAM prototype drops every page. *)
+
+let page = Servernet.Page_store.page_bytes
+
+let test_npmu_faults_on_unwritten_pages () =
+  let sim = Sim.create () in
+  let node = Node.create sim ~cpus:2 () in
+  let fabric = Node.fabric node in
+  let npmu = Npmu.create sim fabric ~name:"npmu" ~capacity:(4 * page) in
+  check_bool "no write, nothing to tear" true (Npmu.tear_last_write npmu = None);
+  let off = (2 * page) + 7 in
+  Npmu.decay npmu ~off ~bits:12;
+  check_str "bits flipped on a fresh page" "\000\255\015\000"
+    (Bytes.to_string (Npmu.peek npmu ~off:(off - 1) ~len:4));
+  Test_util.check_result_ok "map"
+    (Servernet.Avt.map (Npmu.avt npmu) ~net_base:0 ~length:(4 * page) ~phys_base:0
+       ~access:(Servernet.Avt.read_write Servernet.Avt.Any_initiator));
+  Test_util.run_in sim (fun () ->
+      Test_util.check_result_ok "write"
+        (Servernet.Fabric.rdma_write fabric ~src:(Cpu.endpoint (Node.cpu node 0))
+           ~dst:(Npmu.id npmu) ~addr:(page - 8) ~data:(Bytes.make 16 'A')));
+  (match Npmu.tear_last_write npmu with
+  | Some (o, l) ->
+      check_int "tear starts on the next page" page o;
+      check_int "tear is the trailing half" 8 l
+  | None -> Alcotest.fail "write not torn");
+  let torn = Char.chr (Char.code 'A' lxor 0x5A) in
+  check_str "head kept, tail garbled"
+    (String.make 8 'A' ^ String.make 8 torn)
+    (Bytes.to_string (Npmu.peek npmu ~off:(page - 8) ~len:16))
+
+let test_pmp_power_loss_clears_every_page () =
+  let sim = Sim.create () in
+  let node = Node.create sim ~cpus:2 () in
+  let capacity = (3 * page) + 10 in
+  let pmp = Pmp.create (Node.cpu node 1) (Node.fabric node) ~name:"pmp" ~capacity in
+  let offs = [ 0; page - 2; (2 * page) + 5; capacity - 4 ] in
+  List.iter (fun off -> Pmp.poke pmp ~off ~data:(Bytes.of_string "data")) offs;
+  Pmp.power_loss pmp;
+  List.iter
+    (fun off -> check_str "zeroed" (String.make 4 '\000') (Bytes.to_string (Pmp.peek pmp ~off ~len:4)))
+    offs
+
+let test_device_bounds () =
+  let sim = Sim.create () in
+  let node = Node.create sim ~cpus:2 () in
+  let fabric = Node.fabric node in
+  let npmu = Npmu.create sim fabric ~name:"npmu" ~capacity:(page + 1) in
+  let pmp = Pmp.create (Node.cpu node 1) fabric ~name:"pmp" ~capacity:(page + 1) in
+  let raises = Test_util.check_invalid_arg in
+  raises "npmu peek" (fun () -> ignore (Npmu.peek npmu ~off:page ~len:2));
+  raises "npmu poke" (fun () -> Npmu.poke npmu ~off:(-1) ~data:(Bytes.make 1 'x'));
+  raises "npmu decay" (fun () -> Npmu.decay npmu ~off:page ~bits:9);
+  raises "pmp peek" (fun () -> ignore (Pmp.peek pmp ~off:0 ~len:(page + 2)));
+  raises "pmp poke" (fun () -> Pmp.poke pmp ~off:page ~data:(Bytes.make 2 'x'))
+
+(* A full-size device costs its page table, not its capacity.  Heap
+   words are counted, not timed, so the bound is deterministic. *)
+let test_npmu_create_is_sparse () =
+  let sim = Sim.create () in
+  let fabric = Servernet.Fabric.create sim () in
+  let capacity = Tp.System.pm_config.Tp.System.pm_capacity in
+  let heap_words () = (Gc.quick_stat ()).Gc.heap_words in
+  let before = heap_words () in
+  let npmu = Npmu.create sim fabric ~name:"npmu" ~capacity in
+  let grown = (heap_words () - before) * (Sys.word_size / 8) in
+  check_int "full capacity" capacity (Npmu.capacity (Sys.opaque_identity npmu));
+  check_bool (Printf.sprintf "heap grew %d bytes" grown) true (grown < 1 lsl 20)
+
 let test_pmp_dies_with_cpu () =
   let sim = Sim.create () in
   let node = Node.create sim ~cpus:2 () in
@@ -385,6 +455,12 @@ let suite =
         Alcotest.test_case "NPMU survives power loss" `Quick test_npmu_survives_power_loss;
         Alcotest.test_case "PMP prototype loses contents" `Quick test_pmp_loses_contents;
         Alcotest.test_case "PMP dies with its CPU" `Quick test_pmp_dies_with_cpu;
+        Alcotest.test_case "faults land on unwritten pages" `Quick
+          test_npmu_faults_on_unwritten_pages;
+        Alcotest.test_case "PMP power loss clears every page" `Quick
+          test_pmp_power_loss_clears_every_page;
+        Alcotest.test_case "out-of-range peek/poke raise" `Quick test_device_bounds;
+        Alcotest.test_case "full-size NPMU is sparse" `Quick test_npmu_create_is_sparse;
       ] );
     ( "pm.client",
       [

@@ -245,6 +245,54 @@ let test_avt_epoch_monotone () =
   | () -> Alcotest.fail "epoch decreased"
   | exception Invalid_argument _ -> ()
 
+(* --- Page_store --- *)
+
+let check_str = Alcotest.(check string)
+
+let test_page_store_straddles_pages () =
+  let ps = Page_store.create (3 * Page_store.page_bytes) in
+  let off = Page_store.page_bytes - 3 in
+  Page_store.write ps ~off ~data:(Bytes.of_string "straddle");
+  check_int "both pages allocated" 2 (Page_store.pages ps);
+  check_str "read back across the boundary" "straddle"
+    (Bytes.to_string (Page_store.read ps ~off ~len:8));
+  check_str "zeros either side" "\000straddle\000"
+    (Bytes.to_string (Page_store.read ps ~off:(off - 1) ~len:10));
+  (* A write spanning a whole page and parts of its neighbours. *)
+  let big = Bytes.init (Page_store.page_bytes + 10) (fun i -> Char.chr (i land 0xFF)) in
+  Page_store.write ps ~off:(Page_store.page_bytes - 5) ~data:big;
+  check_int "three pages" 3 (Page_store.pages ps);
+  check_bool "spanning read equals the write" true
+    (Bytes.equal big (Page_store.read ps ~off:(Page_store.page_bytes - 5) ~len:(Bytes.length big)))
+
+let test_page_store_untouched_reads_zero () =
+  let ps = Page_store.create ((4 * Page_store.page_bytes) + 100) in
+  let whole = Page_store.read ps ~off:0 ~len:(Page_store.capacity ps) in
+  check_bool "all zeros" true (Bytes.for_all (fun c -> c = '\000') whole);
+  check_int "reads allocate no page" 0 (Page_store.pages ps);
+  check_bool "get of untouched byte" true (Page_store.get ps 12345 = '\000');
+  check_int "get allocates no page" 0 (Page_store.pages ps);
+  (* The short last page holds only what the capacity leaves. *)
+  let last = Page_store.capacity ps - 1 in
+  Page_store.set ps last 'z';
+  check_bool "last byte" true (Page_store.get ps last = 'z');
+  check_int "one page" 1 (Page_store.pages ps);
+  Page_store.clear ps;
+  check_int "clear drops every page" 0 (Page_store.pages ps);
+  check_bool "cleared byte reads zero" true (Page_store.get ps last = '\000')
+
+let test_page_store_bounds () =
+  let ps = Page_store.create 100 in
+  let raises = Test_util.check_invalid_arg in
+  raises "read past end" (fun () -> ignore (Page_store.read ps ~off:96 ~len:5));
+  raises "negative offset" (fun () -> ignore (Page_store.read ps ~off:(-1) ~len:1));
+  raises "negative length" (fun () -> ignore (Page_store.read ps ~off:0 ~len:(-1)));
+  raises "write past end" (fun () -> Page_store.write ps ~off:99 ~data:(Bytes.make 2 'x'));
+  raises "get at capacity" (fun () -> ignore (Page_store.get ps 100));
+  raises "set below zero" (fun () -> Page_store.set ps (-1) 'x');
+  check_int "failed writes allocate nothing" 0 (Page_store.pages ps);
+  check_int "empty read at the end" 0 (Bytes.length (Page_store.read ps ~off:100 ~len:0))
+
 let suite =
   [
     ( "servernet.avt",
@@ -270,5 +318,12 @@ let suite =
         Alcotest.test_case "CRC errors retry and slow down" `Quick test_crc_retries_slow_but_deliver;
         Alcotest.test_case "statistics counters" `Quick test_fabric_stats;
         QCheck_alcotest.to_alcotest prop_transfer_time_monotone;
+      ] );
+    ( "servernet.page_store",
+      [
+        Alcotest.test_case "reads and writes straddle pages" `Quick test_page_store_straddles_pages;
+        Alcotest.test_case "untouched ranges read as zeros" `Quick
+          test_page_store_untouched_reads_zero;
+        Alcotest.test_case "out of range raises" `Quick test_page_store_bounds;
       ] );
   ]

@@ -34,6 +34,12 @@ let check_result_ok msg = function
   | Ok _ -> ()
   | Error _ -> Alcotest.fail msg
 
+(* Fail unless [f] rejects its arguments with [Invalid_argument]. *)
+let check_invalid_arg name f =
+  match f () with
+  | () -> Alcotest.failf "%s: accepted" name
+  | exception Invalid_argument _ -> ()
+
 (* A named drill scenario (see [Tp.Drill.scenario]), optionally
    re-seeded; an unknown name fails the test. *)
 let drill_scenario ?defenses ?seed platform name =
