@@ -71,18 +71,3 @@ let pop t =
 let peek_key t = if t.n = 0 then None else Some t.a.(0).key
 
 let pop_le t ~max = if t.n = 0 || t.a.(0).key > max then None else pop t
-
-let filter t keep =
-  let m = ref 0 in
-  for i = 0 to t.n - 1 do
-    if keep t.a.(i).value then begin
-      t.a.(!m) <- t.a.(i);
-      incr m
-    end
-  done;
-  t.n <- !m;
-  (* Bottom-up heapify; the (key, seq) order of survivors is unchanged,
-     so subsequent pops stay deterministic. *)
-  for i = (t.n / 2) - 1 downto 0 do
-    sift_down t i
-  done

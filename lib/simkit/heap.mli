@@ -1,7 +1,8 @@
 (** Binary min-heap keyed by [(time, sequence)] pairs.
 
-    The sequence number breaks ties so that events scheduled for the same
-    instant fire in insertion order, which keeps runs deterministic. *)
+    The sequence number breaks ties so that entries pushed for the same
+    key pop in insertion order.  {!Sim}'s event queue must dispatch in
+    exactly this order; the tests use this heap as its reference. *)
 
 type 'a t
 
@@ -23,9 +24,3 @@ val pop_le : 'a t -> max:int -> (int * int * 'a) option
 (** Like {!pop}, but leaves the heap untouched and returns [None] when
     the minimum key exceeds [max].  Lets a bounded event loop pop in one
     heap access instead of a peek-then-pop pair. *)
-
-val filter : 'a t -> ('a -> bool) -> unit
-(** Drop every element whose value fails the predicate and re-heapify
-    in place (O(n)).  Survivors keep their [(key, seq)] pairs, so pop
-    order among them is unchanged — used to compact lazily-cancelled
-    timer events without disturbing determinism. *)

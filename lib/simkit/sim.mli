@@ -35,11 +35,12 @@ val at_time : t -> time:Time.t -> (unit -> unit) -> unit
 
 val at_time_cancel : t -> time:Time.t -> (unit -> unit) -> unit -> unit
 (** Like {!at_time}, but returns a cancel thunk.  Cancelling an event
-    that already fired (or was already cancelled) is a no-op.  Cancelled
-    entries are deleted lazily; once they dominate the heap a compaction
-    sweep drops them, so heavy timeout use cannot bloat the event queue.
-    This is the primitive under {!Ivar.read_timeout} and
-    {!Mailbox.recv_timeout}. *)
+    that already fired (or was already cancelled) is a no-op.  A future
+    event is removed from the queue at once, in O(log n); an event due at
+    the current instant is only marked and is dropped when the loop
+    reaches it within that instant.  So heavy timeout use cannot bloat
+    the event queue.  This is the primitive under {!Ivar.read_timeout}
+    and {!Mailbox.recv_timeout}. *)
 
 (** {1 Processes} *)
 
@@ -80,8 +81,9 @@ val queue_depth : t -> int
 (** Number of live (non-cancelled) pending events in the queue. *)
 
 val heap_size : t -> int
-(** Physical size of the event heap, including cancelled entries not
-    yet compacted away — for diagnostics and regression tests. *)
+(** Physical size of the event queue: every queued entry, including
+    cancelled same-instant entries the loop has not reached yet — for
+    diagnostics and regression tests. *)
 
 (** {1 Dispatch hooks}
 

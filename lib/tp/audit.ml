@@ -59,8 +59,13 @@ let payload_padding = function
 
 let frame_overhead = 2 (* magic *) + 2 (* body length *) + 4 (* crc *)
 
-let wire_size record =
-  frame_overhead + Bytes.length (encode_body record) + payload_padding record
+(* Body bytes [encode_body] writes: a 1-byte tag, then the fields. *)
+let body_size = function
+  | Begin _ | Commit _ | Abort _ | Prepared _ -> 1 + 8
+  | Update _ -> 1 + 8 + 2 + 2 + 8 + 4 + 4 + 4
+  | Control_point { active } -> 1 + 4 + (8 * List.length active)
+
+let wire_size record = frame_overhead + body_size record + payload_padding record
 
 let encode enc record =
   let body = encode_body record in

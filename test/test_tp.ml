@@ -19,6 +19,8 @@ let test_audit_roundtrip () =
       sample_update;
       Audit.Commit { txn = 7 };
       Audit.Abort { txn = 8 };
+      Audit.Prepared { txn = 9 };
+      Audit.Control_point { active = [] };
       Audit.Control_point { active = [ 1; 2; 3 ] };
     ]
   in
@@ -50,6 +52,31 @@ let test_audit_stream_decode () =
     | None -> List.rev acc
   in
   check_int "three records" 3 (List.length (collect 0 []))
+
+(* [wire_size] is computed without encoding; it must still agree with the
+   encoder byte for byte, for every constructor. *)
+let gen_audit_record =
+  let open QCheck.Gen in
+  let id = int_bound 0xFFFF_FFFF in
+  oneof
+    [
+      map (fun txn -> Audit.Begin { txn }) id;
+      map (fun txn -> Audit.Commit { txn }) id;
+      map (fun txn -> Audit.Abort { txn }) id;
+      map (fun txn -> Audit.Prepared { txn }) id;
+      map
+        (fun (txn, (file, partition), key, (payload_len, before_len)) ->
+          Audit.Update
+            { txn; file; partition; key; payload_len; payload_crc = payload_len * 7; before_len })
+        (quad id (pair (int_bound 0xFFFF) (int_bound 0xFFFF)) id
+           (pair (int_bound 8192) (int_bound 8192)));
+      map (fun active -> Audit.Control_point { active }) (list_size (int_bound 40) id);
+    ]
+
+let prop_audit_wire_size =
+  QCheck.Test.make ~name:"audit wire_size equals encoded length" ~count:300
+    (QCheck.make ~print:(Format.asprintf "%a" Audit.pp) gen_audit_record)
+    (fun r -> Audit.wire_size r = Bytes.length (Audit.encode_to_bytes r))
 
 let prop_audit_roundtrip =
   QCheck.Test.make ~name:"audit update roundtrip" ~count:100
@@ -252,6 +279,7 @@ let suite =
         Alcotest.test_case "corruption detected" `Quick test_audit_corruption_detected;
         Alcotest.test_case "stream decode" `Quick test_audit_stream_decode;
         QCheck_alcotest.to_alcotest prop_audit_roundtrip;
+        QCheck_alcotest.to_alcotest prop_audit_wire_size;
       ] );
     ( "tp.lockmgr",
       [
